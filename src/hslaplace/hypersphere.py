@@ -176,40 +176,64 @@ def classify_regime(lambda_eff: float, epsilon: float) -> RegimeReport:
 
 
 def unit_crossing(n: int, residual_tol: float = 1e-10) -> float:
-    """The lambda_n with F_n(lambda_n) = 1, by bisection on the contour oracle.
+    """The lambda_n with F_n(lambda_n) = 1, by safeguarded secant on the contour oracle.
 
-    ln F_n is strictly decreasing in lambda, so a sign change brackets the
-    root; the initial bracket [0.3, 3] * lambda_cr is widened up to ten
-    times before giving up.
+    The iteration runs in u = ln lambda on g(u) = ln F_n(e^u).  g is strictly
+    decreasing, so every contour value narrows a bracket [lo, hi] with
+    g(lo) > 0 > g(hi).  It starts at lambda_cr; the first step uses the
+    saddle slope dg/du ~ -n gamma_cr, which needs no contour call, and each
+    later step is the secant through the last two contour values.
+
+    Safeguard: a step that leaves the bracket, or a secant with no slope, is
+    replaced by the bracket's midpoint.  While one side of the bracket has no
+    known sign yet, such a step goes to that side's end of
+    [0.3, 3] * lambda_cr instead; an end with the wrong sign is moved out by
+    a factor 2, up to ten times before giving up with RuntimeError.
+
+    Returns the first evaluated lambda with |ln F_n(lambda)| < residual_tol.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError("unit_crossing requires integer n >= 2")
-    lam_cr = critical_point().lambda_cr
-    lo, hi = 0.3 * lam_cr, 3.0 * lam_cr
-    f_lo = fn_contour(n, lo).value.ln_value
-    f_hi = fn_contour(n, hi).value.ln_value
+    cp = critical_point()
+    u = math.log(cp.lambda_cr)
+    lo, hi = u + math.log(0.3), u + math.log(3.0)
+    lo_known = hi_known = False
     widenings = 0
-    while not (f_lo > 0.0 > f_hi):
-        if widenings >= 10:
-            raise RuntimeError("unit_crossing failed to bracket a sign change")
-        widenings += 1
-        if f_lo <= 0.0:
-            lo *= 0.5
-            f_lo = fn_contour(n, lo).value.ln_value
-        if f_hi >= 0.0:
-            hi *= 2.0
-            f_hi = fn_contour(n, hi).value.ln_value
-    mid = 0.5 * (lo + hi)
+    u_prev = g_prev = None
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = fn_contour(n, mid).value.ln_value
-        if abs(f_mid) < residual_tol:
-            return mid
-        if f_mid > 0.0:
-            lo = mid
+        lam = math.exp(u)
+        g = fn_contour(n, lam).value.ln_value
+        if abs(g) < residual_tol:
+            return lam
+        if (g > 0.0 and u == hi) or (g < 0.0 and u == lo):
+            # an end of the bracket with the wrong sign: the root lies beyond it
+            if widenings >= 10:
+                raise RuntimeError("unit_crossing failed to bracket a sign change")
+            widenings += 1
+            if g > 0.0:
+                hi += math.log(2.0)
+            else:
+                lo -= math.log(2.0)
+        if g > 0.0:
+            lo, lo_known = u, True
         else:
-            hi = mid
-    raise RuntimeError("unit_crossing bisection stalled")  # pragma: no cover
+            hi, hi_known = u, True
+        if u_prev is None:
+            step = g / (n * cp.gamma_cr)
+        elif g != g_prev:
+            step = -g * (u - u_prev) / (g - g_prev)
+        else:
+            step = math.nan
+        u_prev, g_prev = u, g
+        u += step
+        if not lo < u < hi:
+            if not lo_known:
+                u = lo
+            elif not hi_known:
+                u = hi
+            else:
+                u = 0.5 * (lo + hi)
+    raise RuntimeError("unit_crossing stalled")  # pragma: no cover
 
 
 def psi_theta(spec: GrandEnsembleSpec) -> LogValue:

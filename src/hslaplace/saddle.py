@@ -15,6 +15,7 @@ saddle equation (Newton on psi) and the convex conjugate of ln Gamma
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -179,11 +180,13 @@ def L_value_legendre(lam: float) -> LogValue:
     return LogValue(fmin)
 
 
+@functools.cache
 def critical_point() -> CriticalPoint:
     """Solve ln Gamma(g) = g psi(g) by bisection on [1, 2].
 
     h(g) = ln Gamma(g) - g psi(g) has h' = -g psi'(g) < 0, h(1) = C > 0 and
     h(2) = 2C - 2 < 0, so the bracket is analytic and bisection cannot fail.
+    The result is a constant, solved on the first call and cached after it.
     """
 
     def h(g):

@@ -60,8 +60,10 @@ def test_criterion_01_critical_point():
     best = math.inf
     for _ in range(5):
         t0 = time.perf_counter()
-        cp = critical_point()
+        # time the solve itself, not a hit in critical_point's cache
+        cp = critical_point.__wrapped__()
         best = min(best, time.perf_counter() - t0)
+    assert cp == critical_point()
     in_band = 1.37 <= cp.gamma_cr <= 1.39
     tight = cp.residual < 1e-12
     fast = best < 1e-3

@@ -1,10 +1,15 @@
 """CLI surface: exit codes, CSV schemas, byte stability, SVG output."""
 
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import hslaplace
 from hslaplace.cli import main
 
 
@@ -21,6 +26,20 @@ def test_critical_prints_values(capsys):
     assert 1.37 <= float(fields["gamma_cr"]) <= 1.39
     assert abs(float(fields["lambda_cr"]) - 0.9179235347379753) < 1e-10
     assert float(fields["residual"]) < 1e-12
+
+
+def test_module_entry_point_matches_main(capsys):
+    # `python -m hslaplace.cli` must run the CLI, not just import the module
+    src = str(Path(hslaplace.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hslaplace.cli", "critical"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    code, out, err = run_cli(capsys, "critical")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert out
 
 
 def test_eval_row(capsys):

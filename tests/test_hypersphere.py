@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hslaplace.hypersphere
 from hslaplace import (
     GrandEnsembleSpec,
     HypersphereSpec,
@@ -148,8 +149,38 @@ class TestUnitCrossing:
         assert abs(lam_2 - 0.5 * (lo + hi)) < 1e-9
 
     def test_contour_residual_small(self):
-        lam_5 = unit_crossing(5)
-        assert abs(fn_contour(5, lam_5).value.ln_value) < 1e-9
+        for n in (5, 2, 3, 40, 1000, 10000):
+            lam_n = unit_crossing(n)
+            assert abs(fn_contour(n, lam_n).value.ln_value) < 1e-9
+
+    @pytest.mark.parametrize("n", [2, 5, 40, 10000])
+    def test_few_contour_calls(self, monkeypatch, n):
+        calls = []
+
+        def counting(dim, lam):
+            calls.append(lam)
+            return fn_contour(dim, lam)
+
+        monkeypatch.setattr(hslaplace.hypersphere, "fn_contour", counting)
+        lam_n = unit_crossing(n)
+        assert len(calls) <= 8
+        assert calls[-1] == lam_n
+
+    @pytest.mark.parametrize("lam_fixed, end", [(1e-3, 3.0 * 2.0**10), (10.0, 0.3 / 2.0**10)])
+    def test_no_sign_change_raises_after_ten_widenings(self, monkeypatch, lam_fixed, end):
+        # ln F_2(1e-3) > 0 and ln F_2(10) < 0: a contour without a sign change
+        calls = []
+
+        def one_sign(dim, lam):
+            calls.append(lam)
+            return f2_exact(lam_fixed)
+
+        monkeypatch.setattr(hslaplace.hypersphere, "fn_contour", one_sign)
+        with pytest.raises(RuntimeError, match="bracket"):
+            unit_crossing(5)
+        # the last end tried is the initial one moved out by ten factors of 2
+        farthest = max(calls) if end > 1.0 else min(calls)
+        assert abs(farthest / (end * critical_point().lambda_cr) - 1.0) < 1e-12
 
     def test_sequence_moves_toward_critical(self):
         lam_cr = critical_point().lambda_cr

@@ -172,6 +172,9 @@ class TestCriticalPoint:
         assert abs(cp.lambda_cr - LAMBDA_CR) < 1e-12
         assert cp.residual < 1e-12
         assert abs(cp.lambda_cr - math.exp(digamma(cp.gamma_cr))) < 1e-15
+        # solved once and cached; the cached value is what a fresh solve gives
+        assert critical_point() is cp
+        assert critical_point.__wrapped__() == cp
 
     def test_h_strictly_decreasing(self):
         g = np.linspace(1.0, 2.0, 100)
