@@ -8,32 +8,7 @@ saddle estimate converging as n grows.
 
 import argparse
 
-from hslaplace import (
-    f1_exact,
-    f2_exact,
-    fn_contour,
-    fn_montecarlo,
-    fn_quadrature,
-    fn_saddle_asymptotic,
-)
-
-
-def row(n, lam, tol, samples, seed):
-    cells = {"contour": fn_contour(n, lam).value.ln_value}
-    if n == 1:
-        cells["closed"] = f1_exact(lam).value.ln_value
-    elif n == 2:
-        cells["closed"] = f2_exact(lam).value.ln_value
-    if 2 <= n <= 4:
-        cells["quadrature"] = fn_quadrature(n, lam, tol).value.ln_value
-    cells["asymptotic"] = fn_saddle_asymptotic(n, lam).value.ln_value
-    if samples and n >= 2:
-        mc = fn_montecarlo(n, lam, samples, seed)
-        cells["monte-carlo"] = mc.value.ln_value
-    exact = [v for k, v in cells.items() if k in ("closed", "quadrature", "contour")]
-    max_dev = max(abs(a - b) for a in exact for b in exact)
-    return cells, max_dev
-
+from hslaplace import Method, cross_check
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
@@ -44,13 +19,13 @@ if __name__ == "__main__":
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    names = ["closed", "quadrature", "contour", "asymptotic", "monte-carlo"]
-    print(f"{'n':>4} {'lambda':>8} " + " ".join(f"{c:>16}" for c in names) + f" {'max-dev':>10}")
+    print(f"{'n':>4} {'lambda':>8} " + " ".join(f"{m.value:>16}" for m in Method) + f" {'max-dev':>10}")
     for n in (int(v) for v in args.n.split(",")):
         for lam in (float(v) for v in args.lams.split(",")):
-            cells, max_dev = row(n, lam, args.tol, args.samples, args.seed)
+            results, max_dev = cross_check(n, lam, args.tol, args.samples, args.seed)
             line = f"{n:>4} {lam:>8.3g} "
             line += " ".join(
-                f"{cells[c]:>16.9f}" if c in cells else " " * 16 for c in names
+                f"{results[m].value.ln_value:>16.9f}" if m in results else " " * 16
+                for m in Method
             )
             print(line + f" {max_dev:>10.2e}")

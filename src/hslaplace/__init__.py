@@ -24,8 +24,11 @@ from .logvalue import LogValue
 from .oracles import (
     ContourSpec,
     Method,
+    ROUTES,
     OracleResult,
     QuadratureDomain,
+    cross_check,
+    evaluate,
     f1_exact,
     f2_exact,
     fn_contour,
@@ -68,14 +71,17 @@ __all__ = [
     "Method",
     "OracleResult",
     "QuadratureDomain",
+    "ROUTES",
     "Regime",
     "RegimeReport",
     "SaddleSolution",
     "bessel_k0",
     "classify_regime",
     "critical_point",
+    "cross_check",
     "digamma",
     "ensemble_comparison",
+    "evaluate",
     "f1_exact",
     "f2_exact",
     "fn_contour",

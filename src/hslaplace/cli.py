@@ -25,16 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .hypersphere import classify_regime, ensemble_comparison
-from .oracles import (
-    Method,
-    OracleResult,
-    f1_exact,
-    f2_exact,
-    fn_contour,
-    fn_montecarlo,
-    fn_quadrature,
-    fn_saddle_asymptotic,
-)
+from .oracles import Method, cross_check, evaluate
 from .saddle import critical_point, solve_saddle, tabulate
 from .svgplot import line_plot_svg
 
@@ -47,6 +38,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
         Path(out).write_text(text, encoding="ascii", newline="")
 
 
@@ -60,24 +52,6 @@ def _grid(args) -> np.ndarray:
             math.log10(args.grid_min), math.log10(args.grid_max), args.grid_count
         )
     return np.linspace(args.grid_min, args.grid_max, args.grid_count)
-
-
-def _oracle_by_name(name: str, n: int, lam: float, args) -> OracleResult:
-    if name == Method.CLOSED_FORM.value:
-        if n == 1:
-            return f1_exact(lam)
-        if n == 2:
-            return f2_exact(lam)
-        raise ValueError("closed form requires n in {1, 2}")
-    if name == Method.QUADRATURE.value:
-        return fn_quadrature(n, lam, args.tol)
-    if name == Method.CONTOUR.value:
-        return fn_contour(n, lam)
-    if name == Method.ASYMPTOTIC.value:
-        return fn_saddle_asymptotic(n, lam)
-    if name == Method.MONTE_CARLO.value:
-        return fn_montecarlo(n, lam, args.samples, args.seed)
-    raise ValueError(f"unknown method {name!r}")
 
 
 def _cmd_critical(args) -> None:
@@ -108,7 +82,7 @@ def _cmd_table(args) -> None:
 
 
 def _cmd_oracle(args) -> None:
-    res = _oracle_by_name(args.method, args.n, args.lam, args)
+    res = evaluate(args.method, args.n, args.lam, args.tol, args.samples, args.seed)
     lines = [
         "n,lambda,method,ln_F,err_est",
         f"{args.n},{_fmt(args.lam)},{res.method.value},"
@@ -118,33 +92,11 @@ def _cmd_oracle(args) -> None:
 
 
 def _cmd_compare(args) -> None:
-    n, lam = args.n, args.lam
-    results: dict[str, OracleResult] = {}
-    if n <= 2:
-        results[Method.CLOSED_FORM.value] = _oracle_by_name(
-            Method.CLOSED_FORM.value, n, lam, args
-        )
-    if 2 <= n <= 4:
-        results[Method.QUADRATURE.value] = _oracle_by_name(
-            Method.QUADRATURE.value, n, lam, args
-        )
-    results[Method.CONTOUR.value] = _oracle_by_name(Method.CONTOUR.value, n, lam, args)
-    results[Method.ASYMPTOTIC.value] = _oracle_by_name(Method.ASYMPTOTIC.value, n, lam, args)
-    if args.samples > 0 and n >= 2:
-        results[Method.MONTE_CARLO.value] = _oracle_by_name(
-            Method.MONTE_CARLO.value, n, lam, args
-        )
-    exact = [
-        results[k].value.ln_value
-        for k in (Method.CLOSED_FORM.value, Method.QUADRATURE.value, Method.CONTOUR.value)
-        if k in results
-    ]
-    max_dev = max(abs(a - b) for a in exact for b in exact)
-    columns = [m.value for m in Method]
-    header = "n,lambda," + ",".join(columns) + ",max_pairwise_dev"
-    cells = [str(n), _fmt(lam)]
-    for name in columns:
-        cells.append(_fmt(results[name].value.ln_value) if name in results else "")
+    results, max_dev = cross_check(args.n, args.lam, args.tol, args.samples, args.seed)
+    header = "n,lambda," + ",".join(m.value for m in Method) + ",max_pairwise_dev"
+    cells = [str(args.n), _fmt(args.lam)]
+    for method in Method:
+        cells.append(_fmt(results[method].value.ln_value) if method in results else "")
     cells.append(_fmt(max_dev))
     _emit(header + "\n" + ",".join(cells) + "\n", args.out)
 

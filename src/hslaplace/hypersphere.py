@@ -25,16 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logvalue import LogValue
-from .oracles import (
-    Method,
-    OracleResult,
-    f1_exact,
-    f2_exact,
-    fn_contour,
-    fn_montecarlo,
-    fn_quadrature,
-    fn_saddle_asymptotic,
-)
+from .oracles import Method, OracleResult, evaluate, fn_contour
 from .saddle import critical_point
 
 
@@ -131,25 +122,9 @@ def laplace_dn(
     under rescalings f -> c * f with prod c_k = 1, since only the
     geometric mean enters.
     """
-    lam_eff = geometric_mean(spec.f) * spec.r
-    name = method.value if isinstance(method, Method) else str(method)
-    if name == "auto":
-        name = Method.CLOSED_FORM.value if spec.n <= 2 else Method.CONTOUR.value
-    if name == Method.CLOSED_FORM.value:
-        if spec.n == 1:
-            return f1_exact(lam_eff)
-        if spec.n == 2:
-            return f2_exact(lam_eff)
-        raise ValueError("closed form is only available for n in {1, 2}")
-    if name == Method.QUADRATURE.value:
-        return fn_quadrature(spec.n, lam_eff, tol)
-    if name == Method.CONTOUR.value:
-        return fn_contour(spec.n, lam_eff)
-    if name == Method.ASYMPTOTIC.value:
-        return fn_saddle_asymptotic(spec.n, lam_eff)
-    if name == Method.MONTE_CARLO.value:
-        return fn_montecarlo(spec.n, lam_eff, samples, seed)
-    raise ValueError(f"unknown oracle selector {method!r}")
+    if method == "auto":
+        method = Method.CLOSED_FORM if spec.n <= 2 else Method.CONTOUR
+    return evaluate(method, spec.n, geometric_mean(spec.f) * spec.r, tol, samples, seed)
 
 
 def classify_regime(lambda_eff: float, epsilon: float) -> RegimeReport:

@@ -10,7 +10,9 @@ out x_n (so F_1(lambda) = e^{-lambda}).  Four routes compute its log:
   line through the saddle abscissa;
 * the Gaussian saddle-point approximation (any n);
 
-plus a seeded importance-sampling Monte Carlo estimator.
+plus a seeded importance-sampling Monte Carlo estimator.  ``ROUTES`` records
+which n each route covers and whether its value is exact; ``evaluate`` and
+``cross_check`` are the only dispatchers over it.
 
 The contour route uses F_n(lambda) = (1/2 pi) int Gamma(gamma+it)^n
 lambda^{-n(gamma+it)} dt.  The 1/(2 pi) normalisation (with no extra 1/n)
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -378,6 +381,89 @@ def fn_montecarlo(n: int, lam: float, samples: int, seed: int) -> OracleResult:
     ln_f = m + math.log(mean)
     se_ln = float(e.std(ddof=1)) / (mean * math.sqrt(samples))
     return OracleResult(LogValue(ln_f), se_ln, Method.MONTE_CARLO)
+
+
+# ---------------------------------------------------------------------------
+# the route table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Route:
+    """The dimensions n_min <= n <= n_max a route covers, whether its value is
+    exact (enters the cross-check deviation), and its call (n, lam, tol,
+    samples, seed) -> OracleResult."""
+
+    n_min: int
+    n_max: float
+    exact: bool
+    call: Callable[[int, float, float, int, int], OracleResult]
+
+    def covers(self, n) -> bool:
+        return self.n_min <= n <= self.n_max
+
+
+# The calls look their oracle up at call time, so rebinding a module-level
+# oracle (as a tracer does) is seen through the table.
+ROUTES: dict[Method, Route] = {
+    Method.CLOSED_FORM: Route(
+        1, 2, True, lambda n, lam, tol, samples, seed: (f1_exact if n == 1 else f2_exact)(lam)
+    ),
+    Method.QUADRATURE: Route(
+        2, 4, True, lambda n, lam, tol, samples, seed: fn_quadrature(n, lam, tol)
+    ),
+    Method.CONTOUR: Route(
+        1, math.inf, True, lambda n, lam, tol, samples, seed: fn_contour(n, lam)
+    ),
+    Method.MONTE_CARLO: Route(
+        2, math.inf, False,
+        lambda n, lam, tol, samples, seed: fn_montecarlo(n, lam, samples, seed),
+    ),
+    Method.ASYMPTOTIC: Route(
+        1, math.inf, False, lambda n, lam, tol, samples, seed: fn_saddle_asymptotic(n, lam)
+    ),
+}
+
+
+def evaluate(
+    method: Method | str,
+    n: int,
+    lam: float,
+    tol: float = 1e-9,
+    samples: int = 100_000,
+    seed: int = 0,
+) -> OracleResult:
+    """ln F_n(lambda) by one route of ``ROUTES``.
+
+    ``tol`` goes to quadrature, ``samples`` and ``seed`` to Monte Carlo.
+    Raises ValueError for an unknown method or an n the route does not cover.
+    """
+    try:
+        method = Method(method)
+    except ValueError:
+        raise ValueError(f"unknown method {method!r}") from None
+    route = ROUTES[method]
+    if not route.covers(n):
+        raise ValueError(
+            f"the {method.value} route covers n in [{route.n_min}, {route.n_max}], got n = {n}"
+        )
+    return route.call(n, lam, tol, samples, seed)
+
+
+def cross_check(
+    n: int, lam: float, tol: float = 1e-9, samples: int = 0, seed: int = 0
+) -> tuple[dict[Method, OracleResult], float]:
+    """Every route covering n, Monte Carlo only when samples > 0, in ``ROUTES``
+    order, and the largest pairwise deviation among the exact ones."""
+    results = {
+        method: route.call(n, lam, tol, samples, seed)
+        for method, route in ROUTES.items()
+        if route.covers(n) and (method is not Method.MONTE_CARLO or samples > 0)
+    }
+    exact = [res.value.ln_value for method, res in results.items() if ROUTES[method].exact]
+    if not exact:
+        raise ValueError(f"no exact route covers n = {n}")
+    return results, max(abs(a - b) for a in exact for b in exact)
 
 
 def _check_lambda(lam) -> float:

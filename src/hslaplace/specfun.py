@@ -77,6 +77,27 @@ def _check_positive_scalar(x, name):
         raise ValueError(f"{name} requires finite positive argument(s)")
 
 
+def _series_array(z, coeffs, term):
+    """Shift and series shared by the array paths.
+
+    Steps every element of the flattened copy of z up by one until
+    Re z >= _SHIFT, summing term(z) over the steps, then Horner-sums coeffs
+    in w = 1/z^2.  Returns the shifted z, w, the series sum and the shift sum.
+    """
+    z = z.reshape(-1).copy()
+    k = np.maximum(0, np.ceil(_SHIFT - z.real)).astype(int)
+    shift = np.zeros_like(z)
+    for j in range(int(k.max(initial=0))):
+        m = j < k
+        shift[m] += term(z[m])
+        z[m] += 1.0
+    w = 1.0 / (z * z)
+    s = np.full_like(z, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        s = s * w + c
+    return z, w, s, shift
+
+
 def ln_gamma(x):
     """ln Gamma(x) for x > 0; accepts scalars or arrays."""
     if isinstance(x, (float, int)):
@@ -92,20 +113,9 @@ def ln_gamma(x):
             s = s * w + c
         return (x - 0.5) * math.log(x) - x + _HALF_LN_2PI + s / x - shift
     arr = _as_positive_array(x, "ln_gamma")
-    scalar = arr.ndim == 0
-    z = arr.reshape(-1).copy()
-    k = np.maximum(0, np.ceil(_SHIFT - z)).astype(int)
-    shift = np.zeros_like(z)
-    for j in range(int(k.max(initial=0))):
-        m = j < k
-        shift[m] += np.log(z[m])
-        z[m] += 1.0
-    w = 1.0 / (z * z)
-    s = np.full_like(z, _LNGAMMA_COEFF[-1])
-    for c in _LNGAMMA_COEFF[-2::-1]:
-        s = s * w + c
+    z, _, s, shift = _series_array(arr, _LNGAMMA_COEFF, np.log)
     out = (z - 0.5) * np.log(z) - z + _HALF_LN_2PI + s / z - shift
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def digamma(x):
@@ -123,20 +133,9 @@ def digamma(x):
             s = s * w + c
         return math.log(x) - 0.5 / x - s * w - shift
     arr = _as_positive_array(x, "digamma")
-    scalar = arr.ndim == 0
-    z = arr.reshape(-1).copy()
-    k = np.maximum(0, np.ceil(_SHIFT - z)).astype(int)
-    shift = np.zeros_like(z)
-    for j in range(int(k.max(initial=0))):
-        m = j < k
-        shift[m] += 1.0 / z[m]
-        z[m] += 1.0
-    w = 1.0 / (z * z)
-    s = np.full_like(z, _DIGAMMA_COEFF[-1])
-    for c in _DIGAMMA_COEFF[-2::-1]:
-        s = s * w + c
+    z, w, s, shift = _series_array(arr, _DIGAMMA_COEFF, lambda z: 1.0 / z)
     out = np.log(z) - 0.5 / z - s * w - shift
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def trigamma(x):
@@ -154,20 +153,9 @@ def trigamma(x):
             s = s * w + c
         return 1.0 / x + 0.5 * w + s * w / x + shift
     arr = _as_positive_array(x, "trigamma")
-    scalar = arr.ndim == 0
-    z = arr.reshape(-1).copy()
-    k = np.maximum(0, np.ceil(_SHIFT - z)).astype(int)
-    shift = np.zeros_like(z)
-    for j in range(int(k.max(initial=0))):
-        m = j < k
-        shift[m] += 1.0 / (z[m] * z[m])
-        z[m] += 1.0
-    w = 1.0 / (z * z)
-    s = np.full_like(z, _TRIGAMMA_COEFF[-1])
-    for c in _TRIGAMMA_COEFF[-2::-1]:
-        s = s * w + c
+    z, w, s, shift = _series_array(arr, _TRIGAMMA_COEFF, lambda z: 1.0 / (z * z))
     out = 1.0 / z + 0.5 * w + s * w / z + shift
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def ln_gamma_complex(z):
@@ -181,20 +169,9 @@ def ln_gamma_complex(z):
     arr = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(arr)) or np.any(arr.real <= 0.0):
         raise ValueError("ln_gamma_complex requires finite arguments with Re z > 0")
-    scalar = arr.ndim == 0
-    zz = arr.reshape(-1).copy()
-    k = np.maximum(0, np.ceil(_SHIFT - zz.real)).astype(int)
-    shift = np.zeros_like(zz)
-    for j in range(int(k.max(initial=0))):
-        m = j < k
-        shift[m] += np.log(zz[m])
-        zz[m] += 1.0
-    w = 1.0 / (zz * zz)
-    s = np.full_like(zz, _LNGAMMA_COEFF[-1])
-    for c in _LNGAMMA_COEFF[-2::-1]:
-        s = s * w + c
+    zz, _, s, shift = _series_array(arr, _LNGAMMA_COEFF, np.log)
     out = (zz - 0.5) * np.log(zz) - zz + _HALF_LN_2PI + s / zz - shift
-    return complex(out[0]) if scalar else out.reshape(arr.shape)
+    return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def bessel_k0(x: float) -> LogValue:

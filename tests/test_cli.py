@@ -84,6 +84,13 @@ def test_table_byte_stability(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_out_creates_missing_parent_directory(tmp_path, capsys):
+    path = tmp_path / "nodir" / "deeper" / "t.csv"
+    code, out, err = run_cli(capsys, "table", "--grid-count", "5", "--out", str(path))
+    assert (code, out, err) == (0, "", "")
+    assert path.read_text().startswith("lambda,gamma,ln_L,sigma\n")
+
+
 def test_oracle_contour_n1(capsys):
     code, out, _ = run_cli(
         capsys, "oracle", "--n", "1", "--lambda", "2", "--method", "contour"
@@ -187,3 +194,42 @@ def test_bad_grid_exits_one(capsys):
     )
     assert code == 1
     assert "grid" in err
+
+
+# Output of the release before the oracle dispatch was collected into one
+# route table; a refactor must reproduce it byte for byte.
+GOLDEN = [
+    ("oracle --method closed-form --n 2 --lambda 1",
+     "n,lambda,method,ln_F,err_est\n"
+     "2,1.0000000000000000e+00,closed-form,-1.4793410244157648e+00,1.0000000000000000e-10\n"),
+    ("oracle --method quadrature --n 2 --lambda 1",
+     "n,lambda,method,ln_F,err_est\n"
+     "2,1.0000000000000000e+00,quadrature,-1.4793410244157643e+00,1.0010000000000002e-09\n"),
+    ("oracle --method contour --n 2 --lambda 1",
+     "n,lambda,method,ln_F,err_est\n"
+     "2,1.0000000000000000e+00,contour,-1.4793410244157670e+00,2.5038645666657688e-12\n"),
+    ("oracle --method asymptotic --n 2 --lambda 1",
+     "n,lambda,method,ln_F,err_est\n"
+     "2,1.0000000000000000e+00,asymptotic,-1.4920537853295990e+00,2.6752125057520053e-02\n"),
+    ("oracle --method monte-carlo --n 2 --lambda 1 --samples 20000 --seed 3",
+     "n,lambda,method,ln_F,err_est\n"
+     "2,1.0000000000000000e+00,monte-carlo,-1.4785134513253853e+00,8.7313043809550362e-04\n"),
+    ("compare --n 2 --lambda 1",
+     "n,lambda,closed-form,quadrature,contour,monte-carlo,asymptotic,max_pairwise_dev\n"
+     "2,1.0000000000000000e+00,-1.4793410244157648e+00,-1.4793410244157643e+00,"
+     "-1.4793410244157670e+00,,-1.4920537853295990e+00,2.6645352591003757e-15\n"),
+    ("compare --n 3 --lambda 0.5 --samples 20000 --seed 3",
+     "n,lambda,closed-form,quadrature,contour,monte-carlo,asymptotic,max_pairwise_dev\n"
+     "3,5.0000000000000000e-01,,3.0947544338275934e-01,3.0947544338275884e-01,"
+     "3.1182869067119112e-01,2.9940754186781393e-01,4.9960036108132044e-16\n"),
+    ("ensemble --f 1,2,3 --epsilon 0.02 --n-grid 5,10,20",
+     "n,lambda_eff,ln_dn_per_n,regime,ln_psi_theta\n"
+     "5,1.8171205928321394e+00,-1.5026061269302200e+00,vanishes,-5.9725315640935162e-01\n"
+     "10,1.8171205928321394e+00,-1.3958948332997128e+00,vanishes,-5.9725315640935162e-01\n"
+     "20,1.8171205928321394e+00,-1.3250731631498056e+00,vanishes,-5.9725315640935162e-01\n"),
+]
+
+
+@pytest.mark.parametrize("command,expected", GOLDEN, ids=[c for c, _ in GOLDEN])
+def test_golden_output(capsys, command, expected):
+    assert run_cli(capsys, *command.split()) == (0, expected, "")

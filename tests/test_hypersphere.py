@@ -14,6 +14,7 @@ from hslaplace import (
     classify_regime,
     critical_point,
     ensemble_comparison,
+    evaluate,
     f2_exact,
     fn_contour,
     geometric_mean,
@@ -110,6 +111,20 @@ class TestLaplaceDn:
             laplace_dn(spec5, method="quadrature")
         with pytest.raises(ValueError):
             laplace_dn(spec5, method="no-such-route")
+        # one refusal text per route, whichever entry point is used
+        spec1 = HypersphereSpec(n=1, r=1.0, f=(1.0,))
+        for sp, method in (
+            (spec, "closed-form"),
+            (spec5, "quadrature"),
+            (spec1, "quadrature"),
+            (spec1, "monte-carlo"),
+            (spec5, "no-such-route"),
+        ):
+            with pytest.raises(ValueError) as via_dn:
+                laplace_dn(sp, method=method)
+            with pytest.raises(ValueError) as via_evaluate:
+                evaluate(method, sp.n, 1.0)
+            assert str(via_dn.value) == str(via_evaluate.value)
 
 
 class TestClassifyRegime:

@@ -8,8 +8,11 @@ import pytest
 from hslaplace import (
     ContourSpec,
     Method,
+    ROUTES,
     QuadratureDomain,
     bessel_k0,
+    cross_check,
+    evaluate,
     f1_exact,
     f2_exact,
     fn_contour,
@@ -232,3 +235,29 @@ class TestErrorClaimsAcrossRoutes:
                     for j in range(i + 1, len(routes)):
                         diff = abs(routes[i].value.ln_value - routes[j].value.ln_value)
                         assert diff <= routes[i].err_ln + routes[j].err_ln
+
+
+class TestRouteTable:
+    def test_evaluate_refuses_exactly_outside_coverage(self):
+        for method, route in ROUTES.items():
+            for n in range(0, 6):
+                if route.covers(n):
+                    res = evaluate(method, n, 1.0, samples=10_000, seed=1)
+                    assert res.method is method and math.isfinite(res.value.ln_value)
+                else:
+                    with pytest.raises(ValueError, match=f"the {method.value} route covers"):
+                        evaluate(method.value, n, 1.0)
+        with pytest.raises(ValueError, match="unknown method"):
+            evaluate("no-such-route", 2, 1.0)
+
+    def test_cross_check_runs_each_covering_route_once(self):
+        results, max_dev = cross_check(3, 0.5, samples=20_000, seed=3)
+        assert list(results) == [Method.QUADRATURE, Method.CONTOUR, Method.MONTE_CARLO,
+                                 Method.ASYMPTOTIC]
+        for method, res in results.items():
+            assert res == evaluate(method, 3, 0.5, samples=20_000, seed=3)
+        exact = [results[m].value.ln_value for m in (Method.QUADRATURE, Method.CONTOUR)]
+        assert max_dev == abs(exact[0] - exact[1]) < 1e-8
+        assert Method.MONTE_CARLO not in cross_check(3, 0.5)[0]
+        with pytest.raises(ValueError, match="no exact route covers n = 0"):
+            cross_check(0, 1.0)
