@@ -3,10 +3,12 @@
 
 The max-dev column is the largest pairwise deviation among the exact routes
 (closed form, quadrature, contour); the asymptotic column shows the Gaussian
-saddle estimate converging as n grows.
+saddle estimate converging as n grows.  A route that refuses at a point
+leaves its cell blank and is named on stderr.
 """
 
 import argparse
+import sys
 
 from hslaplace import Method, cross_check
 
@@ -22,7 +24,9 @@ if __name__ == "__main__":
     print(f"{'n':>4} {'lambda':>8} " + " ".join(f"{m.value:>16}" for m in Method) + f" {'max-dev':>10}")
     for n in (int(v) for v in args.n.split(",")):
         for lam in (float(v) for v in args.lams.split(",")):
-            results, max_dev = cross_check(n, lam, args.tol, args.samples, args.seed)
+            results, refusals, max_dev = cross_check(n, lam, args.tol, args.samples, args.seed)
+            for method, message in refusals.items():
+                print(f"refused ({method.value}): {message}", file=sys.stderr)
             line = f"{n:>4} {lam:>8.3g} "
             line += " ".join(
                 f"{results[m].value.ln_value:>16.9f}" if m in results else " " * 16

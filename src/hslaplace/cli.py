@@ -6,7 +6,8 @@ critical   gamma_cr, lambda_cr and the defining-equation residual
 eval       saddle data (gamma, ln_L, L, sigma) at one lambda
 table      CSV ``lambda,gamma,ln_L,sigma`` over a grid
 oracle     CSV ``n,lambda,method,ln_F,err_est`` for one oracle
-compare    all applicable oracles side by side + max pairwise deviation
+compare    all applicable oracles side by side + max pairwise deviation; a
+           route that refuses leaves its cell empty and is named on stderr
 regime     divergence / vanishing classification of a lambda_eff
 ensemble   the radius-schedule comparison table
 plot       SVG renderings of lambda(gamma) and L(lambda) from a table CSV
@@ -92,7 +93,11 @@ def _cmd_oracle(args) -> None:
 
 
 def _cmd_compare(args) -> None:
-    results, max_dev = cross_check(args.n, args.lam, args.tol, args.samples, args.seed)
+    results, refusals, max_dev = cross_check(
+        args.n, args.lam, args.tol, args.samples, args.seed
+    )
+    for method, message in refusals.items():
+        print(f"refused ({method.value}): {message}", file=sys.stderr)
     header = "n,lambda," + ",".join(m.value for m in Method) + ",max_pairwise_dev"
     cells = [str(args.n), _fmt(args.lam)]
     for method in Method:

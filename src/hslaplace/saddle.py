@@ -19,8 +19,10 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .logvalue import LogValue
-from .specfun import EULER_GAMMA, digamma, ln_gamma, trigamma
+from .specfun import EULER_GAMMA, _digamma_trigamma_array, digamma, ln_gamma, trigamma
 
 
 @dataclass(frozen=True)
@@ -57,15 +59,19 @@ _NEWTON_CAP = 50
 _GUESS_SWITCH = -2.22
 
 
-def inverse_digamma(y: float) -> float:
-    """The unique gamma > 0 with psi(gamma) = y.
+def inverse_digamma(y):
+    """The unique gamma > 0 with psi(gamma) = y; accepts scalars or arrays.
 
     Newton iteration with a bisection-safeguarded bracket; the initial guess
     is exp(y) + 1/2 for y >= -2.22 (from psi(g) ~ ln g - 1/(2g)) and
     -1/(y + C) below (from psi(g) ~ -1/g - C).  Raises RuntimeError if the
     residual tolerance is not met within the iteration cap, which would
-    indicate a kernel bug rather than a bad input.
+    indicate a kernel bug rather than a bad input.  Arrays go through
+    ``_inverse_digamma_array``, which agrees with the scalar route to 1e-13
+    relative.
     """
+    if not isinstance(y, (float, int)):
+        return _inverse_digamma_array(y)
     y = float(y)
     if not math.isfinite(y):
         raise ValueError("inverse_digamma requires finite y")
@@ -95,6 +101,60 @@ def inverse_digamma(y: float) -> float:
     if abs(digamma(g) - y) < 1e-12:
         return g
     raise RuntimeError(f"inverse_digamma failed to converge at y={y!r}")
+
+
+# Above x ~ 1e154 the kernels' z * z overflows to inf, which only zeroes
+# w = 1/z^2 in the series (the scalar path does the same silently).
+@np.errstate(over="ignore")
+def _inverse_digamma_array(y):
+    """inverse_digamma over an array: one Newton pass over every element.
+
+    Same guesses, stopping rule, cap and errors as the scalar route, but with
+    no bracketing pre-pass: each element starts from the bracket (0, inf),
+    which its residual signs narrow, and a step that leaves the bracket is
+    replaced by the midpoint, or by twice the lower end while the bracket
+    has no upper end.  Each iteration evaluates psi and psi' of the elements
+    not yet converged in one pass.
+    """
+    arr = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("inverse_digamma requires finite y")
+    yv = arr.reshape(-1)
+    # the scalar route's guesses, with math.exp: np.exp can differ from it in
+    # the last bit, and at large gamma that alone can move the root found
+    # within the stopping tolerance
+    g = np.array([
+        math.exp(v) + 0.5 if v >= _GUESS_SWITCH else -1.0 / (v + EULER_GAMMA)
+        for v in yv.tolist()
+    ])
+    out = np.empty_like(g)
+    idx = np.arange(g.size)
+    lo = np.zeros_like(g)
+    hi = np.full_like(g, np.inf)
+    for _ in range(_NEWTON_CAP):
+        if not idx.size:
+            break
+        psi, psi1 = _digamma_trigamma_array(g)
+        r = psi - yv
+        done = np.abs(r) < _NEWTON_TOL
+        if done.any():
+            out[idx[done]] = g[done]
+            left = ~done
+            idx, g, yv, lo, hi, r, psi1 = (a[left] for a in (idx, g, yv, lo, hi, r, psi1))
+        above = r > 0.0
+        hi = np.where(above, np.minimum(hi, g), hi)
+        lo = np.where(above, lo, np.maximum(lo, g))
+        g_new = g - r / psi1
+        fallback = np.where(np.isinf(hi), 2.0 * lo, 0.5 * (lo + hi))
+        g = np.where((lo < g_new) & (g_new < hi), g_new, fallback)
+    else:
+        missed = np.abs(_digamma_trigamma_array(g)[0] - yv) >= 1e-12
+        if missed.any():
+            raise RuntimeError(
+                f"inverse_digamma failed to converge at y={float(yv[missed][0])!r}"
+            )
+        out[idx] = g
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def solve_saddle(lam: float) -> SaddleSolution:
@@ -226,16 +286,28 @@ def gamma_asymptotic_zero(lam: float) -> float:
     return 1.0 / (-math.log(lam) - EULER_GAMMA)
 
 
+@np.errstate(over="ignore")  # as for _inverse_digamma_array
 def tabulate(lambda_grid) -> list[SaddleSolution]:
     """Saddle solutions over a strictly increasing positive grid.
 
     The gamma column is strictly increasing and the ln_L column strictly
     decreasing; evaluation is independent per point, so the output does not
-    depend on evaluation order.
+    depend on evaluation order.  The whole grid is solved in one array pass
+    (``inverse_digamma`` on an array), agreeing with ``solve_saddle`` point
+    by point to 1e-13 relative in gamma and sigma and to
+    1e-13 * max(1, |ln L|) in ln L, which crosses zero at lambda_cr.
     """
     grid = [float(v) for v in lambda_grid]
     if any(not math.isfinite(v) or v <= 0.0 for v in grid):
         raise ValueError("tabulate requires positive grid points")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("tabulate requires a strictly increasing grid")
-    return [solve_saddle(v) for v in grid]
+    # math.log as in solve_saddle; np.log can differ from it in the last bit
+    ln_lam = np.array([math.log(v) for v in grid])
+    gamma = inverse_digamma(ln_lam)
+    ln_L = ln_gamma(gamma) - gamma * ln_lam
+    sigma = trigamma(gamma)
+    return [
+        SaddleSolution(*row)
+        for row in zip(grid, gamma.tolist(), ln_L.tolist(), sigma.tolist())
+    ]

@@ -1,5 +1,6 @@
 """Cross-checks between the four ln F_n routes and the Monte Carlo estimator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -148,6 +149,17 @@ class TestSaddleAsymptotic:
                 diff = abs(a.value.ln_value - c.value.ln_value)
                 assert diff <= a.err_ln + c.err_ln, (n, lam, diff, a.err_ln)
 
+    def test_error_claim_holds_where_the_first_order_term_vanishes(self):
+        # t1 - t2 changes sign near lambda = 0.0944; without the 1/n^2 term the
+        # claim fell below the deviation there (n = 8, lambda = 0.095: 3.3e-4
+        # against 6.4e-5)
+        for lam in np.linspace(0.05, 0.2, 31):
+            for n in (1, 2, 4, 8, 40, 1000):
+                a = fn_saddle_asymptotic(n, lam)
+                c = fn_contour(n, lam)
+                diff = abs(a.value.ln_value - c.value.ln_value)
+                assert diff <= a.err_ln + c.err_ln, (n, lam, diff, a.err_ln)
+
 
 class TestPerDimensionRateConvergence:
     """(ln F_n)/n converges to ln L at the slow rate ln(2 pi n sigma)/(2 n)."""
@@ -251,9 +263,10 @@ class TestRouteTable:
             evaluate("no-such-route", 2, 1.0)
 
     def test_cross_check_runs_each_covering_route_once(self):
-        results, max_dev = cross_check(3, 0.5, samples=20_000, seed=3)
+        results, refusals, max_dev = cross_check(3, 0.5, samples=20_000, seed=3)
         assert list(results) == [Method.QUADRATURE, Method.CONTOUR, Method.MONTE_CARLO,
                                  Method.ASYMPTOTIC]
+        assert refusals == {}
         for method, res in results.items():
             assert res == evaluate(method, 3, 0.5, samples=20_000, seed=3)
         exact = [results[m].value.ln_value for m in (Method.QUADRATURE, Method.CONTOUR)]
@@ -261,3 +274,22 @@ class TestRouteTable:
         assert Method.MONTE_CARLO not in cross_check(3, 0.5)[0]
         with pytest.raises(ValueError, match="no exact route covers n = 0"):
             cross_check(0, 1.0)
+
+    def test_cross_check_records_refusals_and_runs_the_rest(self, monkeypatch):
+        results, refusals, max_dev = cross_check(3, 1e8)
+        assert list(results) == [Method.CONTOUR, Method.ASYMPTOTIC]
+        assert refusals == {Method.QUADRATURE: "quadrature did not reach the requested tolerance"}
+        assert max_dev == 0.0
+
+        def refuse(*args):
+            raise RuntimeError("no value here")
+
+        refusing = dataclasses.replace(ROUTES[Method.CONTOUR], call=refuse)
+        monkeypatch.setitem(ROUTES, Method.CONTOUR, refusing)
+        results, refusals, _ = cross_check(2, 1.0)
+        assert list(results) == [Method.CLOSED_FORM, Method.QUADRATURE, Method.ASYMPTOTIC]
+        assert refusals == {Method.CONTOUR: "no value here"}
+        with pytest.raises(ValueError, match="every exact route refused: contour: no value here"):
+            cross_check(5, 1.0)
+        with pytest.raises(ValueError, match="lambda must be a finite positive real"):
+            cross_check(2, -1.0)

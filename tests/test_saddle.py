@@ -1,6 +1,7 @@
 """Saddle layer: inverse digamma, the two L routes, the critical point."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from hslaplace import (
     tabulate,
     trigamma,
 )
+import hslaplace.saddle
 from hslaplace.saddle import _legendre_argmin
+from hslaplace.specfun import _digamma_trigamma_array
 
 # frozen references (mpmath):
 GAMMA_MIN = 1.4616321449683623        # psi(x) = 0, the minimiser of Gamma
@@ -258,3 +261,94 @@ class TestLargeLambdaAbscissa:
         for lam in (100.0, 1e3, 1e4):
             g = solve_saddle(lam).gamma
             assert abs(g - lam - 0.5) < 1.0 / lam
+
+
+def _assert_matches_scalar_route(rows):
+    """Each row agrees with solve_saddle at its lambda: gamma and sigma to
+    1e-13 relative, ln L to 1e-13 * max(1, |ln L|) (ln L crosses zero at
+    lambda_cr, where its ulp-level differences have no relative scale)."""
+    for row in rows:
+        ref = solve_saddle(row.lam)
+        assert abs(row.gamma - ref.gamma) <= 1e-13 * ref.gamma, row
+        assert abs(row.sigma - ref.sigma) <= 1e-13 * ref.sigma, row
+        assert abs(row.ln_L - ref.ln_L) <= 1e-13 * max(1.0, abs(ref.ln_L)), row
+
+
+class TestArrayRoute:
+    """inverse_digamma on arrays and tabulate against the scalar route."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(min_value=-300.0, max_value=300.0), min_size=1, max_size=40))
+    def test_agrees_with_scalar_route(self, exponents):
+        grid = sorted({10.0**e for e in exponents})
+        _assert_matches_scalar_route(tabulate(grid))
+        ys = np.log(grid)
+        gammas = inverse_digamma(ys)
+        for y, g in zip(ys.tolist(), gammas.tolist()):
+            ref = inverse_digamma(y)
+            assert abs(g - ref) <= 1e-13 * ref
+
+    def test_seeded_grids_across_the_range(self):
+        rng = np.random.default_rng(5)
+        for lo, hi in ((-300.0, 300.0), (-8.0, 6.0), (-0.06, 0.0), (5.5, 6.1)):
+            _assert_matches_scalar_route(tabulate(np.unique(10.0 ** rng.uniform(lo, hi, 500))))
+
+    def test_extreme_y_and_shapes(self):
+        ys = np.array([[-700.0, 700.0], [0.0, -2.22]])
+        got = inverse_digamma(ys)
+        assert got.shape == (2, 2)
+        for y, g in zip(ys.ravel().tolist(), got.ravel().tolist()):
+            assert abs(g - inverse_digamma(y)) <= 1e-13 * g
+        zero_d = inverse_digamma(np.array(-700.0))
+        assert type(zero_d) is float
+        assert abs(zero_d - inverse_digamma(-700.0)) <= 1e-13 * zero_d
+        assert inverse_digamma(np.array([])).shape == (0,)
+        assert tabulate([]) == []
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            inverse_digamma(np.array([0.0, math.nan]))
+        with pytest.raises(ValueError):
+            inverse_digamma(np.array([math.inf]))
+        for bad in ([1.0, math.nan], [0.0, 1.0], [-1.0, 1.0]):
+            with pytest.raises(ValueError):
+                tabulate(bad)
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(hslaplace.saddle, "_NEWTON_CAP", 1)
+        with pytest.raises(RuntimeError, match="failed to converge"):
+            inverse_digamma(-2.0)
+        with pytest.raises(RuntimeError, match="failed to converge"):
+            inverse_digamma(np.array([0.0, -2.0]))
+        with pytest.raises(RuntimeError, match="failed to converge"):
+            tabulate([0.5, 1.0])
+
+    def test_no_numpy_warnings(self):
+        # above lambda ~ 1e154 the series' z * z overflows to inf (harmlessly)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = tabulate(np.logspace(-300, 300, 601))
+            inverse_digamma(np.array([-700.0, 700.0]))
+        assert len(rows) == 601
+
+    def test_fused_pass_equals_the_kernels(self):
+        x = np.concatenate([np.logspace(-8, 12, 2000), np.linspace(0.1, 12.0, 500)])
+        psi, psi1 = _digamma_trigamma_array(x)
+        assert np.array_equal(psi, digamma(x))
+        assert np.array_equal(psi1, trigamma(x))
+
+    def test_tabulate_makes_few_array_passes(self, monkeypatch):
+        calls = {"scalar": 0, "array": 0}
+
+        def counting(fn):
+            def wrapped(x, *args):
+                calls["scalar" if isinstance(x, (float, int)) else "array"] += 1
+                return fn(x, *args)
+            return wrapped
+
+        for name in ("digamma", "trigamma", "ln_gamma", "_digamma_trigamma_array"):
+            monkeypatch.setattr(hslaplace.saddle, name, counting(getattr(hslaplace.saddle, name)))
+        rows = tabulate(np.logspace(-8, 6, 200))
+        assert len(rows) == 200
+        assert calls["scalar"] == 0
+        assert calls["array"] <= 12

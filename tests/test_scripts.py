@@ -31,6 +31,14 @@ def test_crosscheck_oracles():
     assert all(float(row.split()[-1]) < 1e-6 for row in rows)
 
 
+def test_crosscheck_oracles_keeps_a_row_with_a_refusing_route():
+    proc = run_script("crosscheck_oracles.py", "--n", "3", "--lambda", "1e8")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "refused (quadrature): quadrature did not reach the requested tolerance\n"
+    cells = proc.stdout.splitlines()[1].split()
+    assert cells[0] == "3" and len(cells) == 5  # n, lambda, contour, asymptotic, max-dev
+
+
 def test_ensemble_report():
     proc = run_script("ensemble_report.py", "--n-grid", "5,10")
     assert proc.returncode == 0, proc.stderr
