@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,9 @@ _NEWTON_TOL = 1e-13
 _NEWTON_CAP = 50
 # initial-guess crossover: exp(y) + 1/2 and -1/(y + C) meet near y = -2.22
 _GUESS_SWITCH = -2.22
+# above ln(max float) ~ 709.78 the root, about e^y, is not a finite double
+_Y_MAX = math.log(sys.float_info.max)
+_DOMAIN = f"inverse_digamma requires finite y <= ln(max float) = {_Y_MAX:.2f}"
 
 
 def inverse_digamma(y):
@@ -64,17 +68,19 @@ def inverse_digamma(y):
 
     Newton iteration with a bisection-safeguarded bracket; the initial guess
     is exp(y) + 1/2 for y >= -2.22 (from psi(g) ~ ln g - 1/(2g)) and
-    -1/(y + C) below (from psi(g) ~ -1/g - C).  Raises RuntimeError if the
-    residual tolerance is not met within the iteration cap, which would
-    indicate a kernel bug rather than a bad input.  Arrays go through
+    -1/(y + C) below (from psi(g) ~ -1/g - C).  Raises ValueError for y
+    that is not finite or exceeds ln(max float) ~ 709.78, where the root is
+    not a finite double, and RuntimeError if the residual tolerance is not
+    met within the iteration cap, which would indicate a kernel bug rather
+    than a bad input.  Arrays go through
     ``_inverse_digamma_array``, which agrees with the scalar route to 1e-13
     relative.
     """
     if not isinstance(y, (float, int)):
         return _inverse_digamma_array(y)
     y = float(y)
-    if not math.isfinite(y):
-        raise ValueError("inverse_digamma requires finite y")
+    if not (math.isfinite(y) and y <= _Y_MAX):
+        raise ValueError(f"{_DOMAIN}, got {y!r}")
     if y >= _GUESS_SWITCH:
         g = math.exp(y) + 0.5
     else:
@@ -117,8 +123,9 @@ def _inverse_digamma_array(y):
     not yet converged in one pass.
     """
     arr = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("inverse_digamma requires finite y")
+    bad = ~(np.isfinite(arr) & (arr <= _Y_MAX))
+    if bad.any():
+        raise ValueError(f"{_DOMAIN}, got {float(arr[bad].flat[0])!r}")
     yv = arr.reshape(-1)
     # the scalar route's guesses, with math.exp: np.exp can differ from it in
     # the last bit, and at large gamma that alone can move the root found

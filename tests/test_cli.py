@@ -134,11 +134,11 @@ def test_compare_exact_routes_agree(capsys):
 @pytest.mark.parametrize("argv, refused, row", [
     ("compare --n 40 --lambda 1 --samples 20000 --seed 3",
      "refused (monte-carlo): degenerate importance weights: effective sample size 23.0\n",
-     "40,1.0000000000000000e+00,,,-7.6057313734996486e+00,,-7.6063989624689121e+00,"
+     "40,1.0000000000000000e+00,,,-7.6057313734996583e+00,,-7.6063989624689121e+00,"
      "0.0000000000000000e+00\n"),
     ("compare --n 3 --lambda 1e8",
      "refused (quadrature): quadrature did not reach the requested tolerance\n",
-     "3,1.0000000000000000e+08,,,-3.0000001713211006e+08,,-3.0000001713210988e+08,"
+     "3,1.0000000000000000e+08,,,-3.0000001713211024e+08,,-3.0000001713210988e+08,"
      "0.0000000000000000e+00\n"),
 ], ids=["monte-carlo-refuses", "quadrature-refuses"])
 def test_compare_reports_a_refusing_route_and_keeps_the_rest(capsys, argv, refused, row):
@@ -219,9 +219,11 @@ def test_bad_grid_exits_one(capsys):
 
 
 # Output of the release before the oracle dispatch was collected into one
-# route table; a refactor must reproduce it byte for byte.  One value has
-# changed since on purpose: the asymptotic err_est gained its c (|t1| + |t2|)
-# / n^2 term (2.6752125057520053e-02 before).
+# route table; a refactor must reproduce it byte for byte.  Values changed
+# since on purpose: the asymptotic err_est gained its c (|t1| + |t2|) / n^2
+# term (2.6752125057520053e-02 before), and the adaptive-step contour moved
+# every contour value, its err_est, and the compare deviation and ensemble
+# ln_dn_per_n cells built on them, each by less than 1e-13 (1 + |v|).
 GOLDEN = [
     ("oracle --method closed-form --n 2 --lambda 1",
      "n,lambda,method,ln_F,err_est\n"
@@ -231,7 +233,7 @@ GOLDEN = [
      "2,1.0000000000000000e+00,quadrature,-1.4793410244157643e+00,1.0010000000000002e-09\n"),
     ("oracle --method contour --n 2 --lambda 1",
      "n,lambda,method,ln_F,err_est\n"
-     "2,1.0000000000000000e+00,contour,-1.4793410244157670e+00,2.5038645666657688e-12\n"),
+     "2,1.0000000000000000e+00,contour,-1.4793410244157656e+00,2.5443751122522321e-12\n"),
     ("oracle --method asymptotic --n 2 --lambda 1",
      "n,lambda,method,ln_F,err_est\n"
      "2,1.0000000000000000e+00,asymptotic,-1.4920537853295990e+00,3.6435617745339217e-02\n"),
@@ -241,15 +243,15 @@ GOLDEN = [
     ("compare --n 2 --lambda 1",
      "n,lambda,closed-form,quadrature,contour,monte-carlo,asymptotic,max_pairwise_dev\n"
      "2,1.0000000000000000e+00,-1.4793410244157648e+00,-1.4793410244157643e+00,"
-     "-1.4793410244157670e+00,,-1.4920537853295990e+00,2.6645352591003757e-15\n"),
+     "-1.4793410244157656e+00,,-1.4920537853295990e+00,1.3322676295501878e-15\n"),
     ("compare --n 3 --lambda 0.5 --samples 20000 --seed 3",
      "n,lambda,closed-form,quadrature,contour,monte-carlo,asymptotic,max_pairwise_dev\n"
-     "3,5.0000000000000000e-01,,3.0947544338275934e-01,3.0947544338275884e-01,"
-     "3.1182869067119112e-01,2.9940754186781393e-01,4.9960036108132044e-16\n"),
+     "3,5.0000000000000000e-01,,3.0947544338275934e-01,3.0947544338276128e-01,"
+     "3.1182869067119112e-01,2.9940754186781393e-01,1.9428902930940239e-15\n"),
     ("ensemble --f 1,2,3 --epsilon 0.02 --n-grid 5,10,20",
      "n,lambda_eff,ln_dn_per_n,regime,ln_psi_theta\n"
      "5,1.8171205928321394e+00,-1.5026061269302200e+00,vanishes,-5.9725315640935162e-01\n"
-     "10,1.8171205928321394e+00,-1.3958948332997128e+00,vanishes,-5.9725315640935162e-01\n"
+     "10,1.8171205928321394e+00,-1.3958948332997136e+00,vanishes,-5.9725315640935162e-01\n"
      "20,1.8171205928321394e+00,-1.3250731631498056e+00,vanishes,-5.9725315640935162e-01\n"),
 ]
 

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hslaplace.oracles
 from hslaplace import (
     ContourSpec,
     Method,
@@ -27,6 +30,7 @@ from hslaplace import (
 K0_2 = 0.11389387274953344
 K0_1 = 0.42102443824070833
 GAMMA_1P3_SQ = 0.805453650728474  # Gamma(1.3)^2
+LN_F2_1EM20 = 4.510298606274229414  # ln(2 K0(2e-20)), mpmath 1.3.0, 40 digits
 
 
 class TestClosedForms:
@@ -92,6 +96,74 @@ class TestContour:
             fn_contour(0, 1.0)
         with pytest.raises(ValueError):
             fn_contour(2, -1.0)
+
+
+def _closed_form(n, lam):
+    return (f1_exact if n == 1 else f2_exact)(lam)
+
+
+class TestContourErrorContract:
+    """|contour - reference| <= the claimed errors, down to lambda = 1e-20."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2]), st.floats(min_value=-20.0, max_value=8.0))
+    def test_claim_covers_the_closed_forms(self, n, exponent):
+        lam = 10.0**exponent
+        c, r = fn_contour(n, lam), _closed_form(n, lam)
+        assert abs(c.value.ln_value - r.value.ln_value) <= c.err_ln + r.err_ln
+
+    def test_claim_covers_the_closed_forms_on_a_grid(self):
+        for n in (1, 2):
+            for lam in np.logspace(-20, 8, 57):
+                c, r = fn_contour(n, lam), _closed_form(n, lam)
+                assert abs(c.value.ln_value - r.value.ln_value) <= c.err_ln + r.err_ln, (n, lam)
+
+    @pytest.mark.parametrize("n, lam, exact", [
+        (1, 1e-20, -1e-20),
+        (1, 1e-12, -1e-12),
+        (2, 1e-20, LN_F2_1EM20),
+    ])
+    def test_small_lambda_breaches_of_the_fixed_step(self, n, lam, exact):
+        # with the step T/2000 these deviated by 5.5e-6, 1.3e-8 and 9.6e-11
+        # against claims near 1e-12
+        res = fn_contour(n, lam)
+        assert abs(res.value.ln_value - exact) <= res.err_ln
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_agrees_with_quadrature(self, n):
+        for lam in np.logspace(-2, 1, 4):
+            q, c = fn_quadrature(n, lam), fn_contour(n, lam)
+            assert abs(q.value.ln_value - c.value.ln_value) <= q.err_ln + c.err_ln, (n, lam)
+
+
+class TestContourNodes:
+    """How many ln Gamma nodes each contour mode evaluates."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        sizes = []
+        kernel = hslaplace.oracles.ln_gamma_complex
+
+        def counting(z):
+            sizes.append((np.ndim(z), np.size(z)))
+            return kernel(z)
+
+        monkeypatch.setattr(hslaplace.oracles, "ln_gamma_complex", counting)
+        return sizes
+
+    def test_auto_mode_at_n40(self, calls):
+        fn_contour(40, 1.0)
+        assert all(ndim == 1 for ndim, _ in calls)
+        assert sum(size for _, size in calls) <= 300
+
+    def test_auto_mode_stays_under_the_cap(self, calls):
+        fn_contour(1, 1e-20)
+        assert sum(size for _, size in calls) <= 16_001
+
+    def test_manual_mode_evaluates_the_whole_grid(self, calls):
+        spec = ContourSpec(gamma=0.8, half_width=40.0, step=40.0 / 4000)
+        fn_contour(2, 1.0, spec)
+        assert [size for ndim, size in calls if ndim == 1] == [2 * 4000 + 1]
 
 
 class TestQuadrature:

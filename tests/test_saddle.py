@@ -1,6 +1,7 @@
 """Saddle layer: inverse digamma, the two L routes, the critical point."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -313,6 +314,18 @@ class TestArrayRoute:
         for bad in ([1.0, math.nan], [0.0, 1.0], [-1.0, 1.0]):
             with pytest.raises(ValueError):
                 tabulate(bad)
+
+    def test_rejects_y_beyond_the_largest_double(self):
+        # the root is about e^y, which is not a finite double above 709.78;
+        # the initial guess used to raise OverflowError there
+        edge = math.log(sys.float_info.max)
+        for y in (709.79, 710.0, 1e3):
+            with pytest.raises(ValueError, match=r"y <= ln\(max float\) = 709\.78"):
+                inverse_digamma(y)
+            with pytest.raises(ValueError, match=r"y <= ln\(max float\) = 709\.78"):
+                inverse_digamma(np.array([1.0, y]))
+        for g in (inverse_digamma(edge), float(inverse_digamma(np.array([edge]))[0])):
+            assert abs(g / sys.float_info.max - 1.0) < 1e-11
 
     def test_non_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(hslaplace.saddle, "_NEWTON_CAP", 1)
