@@ -22,11 +22,9 @@ from .hypersphere import (
 )
 from .logvalue import LogValue
 from .oracles import (
-    ContourSpec,
     Method,
     ROUTES,
     OracleResult,
-    QuadratureDomain,
     cross_check,
     evaluate,
     f1_exact,
@@ -60,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EULER_GAMMA",
-    "ContourSpec",
     "CriticalPoint",
     "EnsembleRow",
     "GrandEnsembleSpec",
@@ -70,7 +67,6 @@ __all__ = [
     "L_value_legendre",
     "Method",
     "OracleResult",
-    "QuadratureDomain",
     "ROUTES",
     "Regime",
     "RegimeReport",

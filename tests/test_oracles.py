@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,10 +11,8 @@ from hypothesis import strategies as st
 
 import hslaplace.oracles
 from hslaplace import (
-    ContourSpec,
     Method,
     ROUTES,
-    QuadratureDomain,
     bessel_k0,
     cross_check,
     evaluate,
@@ -66,36 +65,45 @@ class TestContour:
         predicted = 50 * sol.ln_L - 0.5 * math.log(2.0 * math.pi * 50 * sol.sigma)
         assert abs(got - predicted) < 0.01
 
-    def test_abscissa_independence(self):
-        # the inversion integral does not depend on the line's position
-        ref = fn_contour(2, 1.0).value.ln_value
-        for gamma in (0.8, 2.5):
-            spec = ContourSpec(gamma=gamma, half_width=40.0, step=40.0 / 4000)
-            assert abs(fn_contour(2, 1.0, spec).value.ln_value - ref) < 1e-9
-
     def test_monotone_in_lambda(self):
         for n in (3, 7):
             vals = [fn_contour(n, lam).value.ln_value for lam in np.logspace(-2, 1, 25)]
             assert all(b < a for a, b in zip(vals, vals[1:]))
-
-    def test_truncation_guard(self):
-        spec = ContourSpec(gamma=1.4616, half_width=0.2, step=0.002)
-        with pytest.raises(RuntimeError):
-            fn_contour(1, 1.0, spec)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            ContourSpec(gamma=-1.0, half_width=10.0, step=0.01)
-        with pytest.raises(ValueError):
-            ContourSpec(gamma=1.0, half_width=10.0, step=0.3)  # ratio not integer
-        with pytest.raises(ValueError):
-            ContourSpec(gamma=1.0, half_width=1.0, step=0.02)  # ratio 50 < 100
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             fn_contour(0, 1.0)
         with pytest.raises(ValueError):
             fn_contour(2, -1.0)
+
+    @pytest.mark.parametrize("n, lam", [(1, 1e90), (40, 1e100)])
+    def test_refuses_when_no_edge_truncates(self, n, lam):
+        with pytest.raises(RuntimeError, match="failed to truncate the contour integrand"):
+            fn_contour(n, lam)
+
+    def test_cross_check_keeps_the_closed_form_when_truncation_fails(self):
+        results, refusals, max_dev = cross_check(1, 1e90)
+        assert list(results) == [Method.CLOSED_FORM, Method.ASYMPTOTIC]
+        assert refusals == {Method.CONTOUR: "failed to truncate the contour integrand"}
+        assert max_dev == 0.0
+
+    @pytest.mark.parametrize("lam", [10**13.5, 10**14.5])
+    def test_refuses_a_non_finite_sum_without_warnings(self, lam):
+        # rounding in n (phi(t) - phi(0)) overflows exp at these points
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match=r"contour sum is inf at n = 10000, lambda = "):
+                fn_contour(10_000, lam)
+
+    def test_large_n_lambda_between_the_refusals_still_computes(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fn_contour(10_000, 1e14)
+        assert math.isfinite(res.value.ln_value) and math.isfinite(res.err_ln)
+
+    def test_cross_check_refuses_when_contour_is_the_only_exact_route(self):
+        with pytest.raises(ValueError, match="every exact route refused: contour: contour sum is inf"):
+            cross_check(10_000, 10**13.5)
 
 
 def _closed_form(n, lam):
@@ -137,7 +145,7 @@ class TestContourErrorContract:
 
 
 class TestContourNodes:
-    """How many ln Gamma nodes each contour mode evaluates."""
+    """How many ln Gamma nodes the contour route evaluates."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -160,11 +168,6 @@ class TestContourNodes:
         fn_contour(1, 1e-20)
         assert sum(size for _, size in calls) <= 16_001
 
-    def test_manual_mode_evaluates_the_whole_grid(self, calls):
-        spec = ContourSpec(gamma=0.8, half_width=40.0, step=40.0 / 4000)
-        fn_contour(2, 1.0, spec)
-        assert [size for ndim, size in calls if ndim == 1] == [2 * 4000 + 1]
-
 
 class TestQuadrature:
     def test_pairwise_route_agreement(self):
@@ -183,10 +186,8 @@ class TestQuadrature:
 
     def test_domain_invariant(self):
         for n, lam, tol in ((2, 0.3, 1e-8), (3, 1.0, 1e-9), (4, 3.0, 1e-7)):
-            dom = QuadratureDomain.for_tolerance(n, lam, tol)
-            X = dom.half_width
+            X = hslaplace.oracles._box_half_width(n, lam, tol)
             assert lam * math.exp(X) >= math.log(1.0 / tol) + n * X
-            assert dom.dimension == n - 1
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
