@@ -5,7 +5,7 @@ hyperplane sum_k x_k = 0, in the coordinate normalisation that integrates
 out x_n (so F_1(lambda) = e^{-lambda}).  Four routes compute its log:
 
 * closed forms for n = 1 and n = 2 (F_2 = 2 K0(2 lambda));
-* brute-force nested quadrature over [-X, X]^{n-1} for n in {2, 3, 4};
+* for n in {2, 3, 4}, the hyperplane trapezoid as one tilted FFT convolution;
 * the inverse Mellin contour integral (any n), trapezoid on the vertical
   line through the saddle abscissa, its step halved from
   min(T/50, 2 pi gamma / ln 1e14) until the value settles;
@@ -70,163 +70,78 @@ def f2_exact(lam: float) -> OracleResult:
 
     With x_2 = -x_1 the integrand is exp(-lambda (e^x + e^-x)) =
     exp(-2 lambda cosh x), and the even integral over the line is
-    2 K0(2 lambda).
+    2 K0(2 lambda).  The claim max(1e-10, 5e-16 |ln F|) covers rounding.
     """
     lam = _check_lambda(lam)
-    return OracleResult(
-        LogValue(math.log(2.0) + bessel_k0(2.0 * lam).ln_value),
-        1e-10,
-        Method.CLOSED_FORM,
-    )
+    ln_f = math.log(2.0) + bessel_k0(2.0 * lam).ln_value
+    return OracleResult(LogValue(ln_f), max(1e-10, 5e-16 * abs(ln_f)), Method.CLOSED_FORM)
 
 
 # ---------------------------------------------------------------------------
-# nested quadrature
+# tilted quadrature
 # ---------------------------------------------------------------------------
 
 
-def _lse(a, w):
-    """log(sum(w * exp(a))) with max shift; a is a 1-D array."""
-    m = float(np.max(a))
-    return m + math.log(float(np.sum(w * np.exp(a - m))))
+# 1/k! for k = 17..2: e^u - 1 - u = u^2 polyval(_EXCESS_POLY, u) to 1e-19 for |u| < 1/2
+_EXCESS_POLY = [1.0 / math.factorial(k) for k in range(17, 1, -1)]
+_MAX_NODES = 1 << 19
 
 
-def _simpson_weights(m):
-    w = np.ones(m + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w
-
-
-def _inner_slab(lam, A, s, X, inner_m=256):
-    """Vectorised innermost integrals.
-
-    For each row i, computes ln of
-
-        int_{-X}^{X} exp(-lam (A_i + e^x + B_i e^{-x})) dx,  B_i = e^{-s_i}.
-
-    The integrand is a cosh-type bump centred at x = -s_i/2 with doubly
-    exponential shoulders, so a fixed composite Simpson rule on the
-    analytically clipped window is geometrically convergent.
-    """
-    A = np.atleast_1d(np.asarray(A, float))
-    s = np.atleast_1d(np.asarray(s, float))
-    root_b = np.exp(-0.5 * s)
-    centre = -0.5 * s
-    spread = np.arccosh(1.0 + 50.0 / (2.0 * lam * root_b))
-    spread = np.maximum(spread, 1e-3)
-    lo = np.maximum(-X, centre - spread)
-    hi = np.minimum(X, centre + spread)
-    frac = np.linspace(0.0, 1.0, inner_m + 1)
-    x = lo[:, None] + (hi - lo)[:, None] * frac[None, :]
-    f = -lam * (A[:, None] + np.exp(x) + np.exp(-s[:, None] - x))
-    w = _simpson_weights(inner_m)
-    peak = f.max(axis=1)
-    vals = peak + np.log(np.exp(f - peak[:, None]) @ w) + np.log((hi - lo) / (3.0 * inner_m))
-    return vals
-
-
-def _doubling_simpson_ln(f_vec, lo, hi, rel_tol, max_segments=1 << 14):
-    """ln integral of exp(f) on [lo, hi] by node-reusing doubling Simpson.
-
-    f_vec maps an array of abscissas to an array of ln-integrand values.
-    Accepts once the Richardson error estimate |S_2m - S_m|/15 drops below
-    rel_tol (an absolute tolerance on the ln value, i.e. relative on the
-    integral) and returns the finer estimate.
-    """
-    m = 32
-    x = np.linspace(lo, hi, m + 1)
-    fx = np.asarray(f_vec(x), float)
-    prev = _lse(fx, _simpson_weights(m)) + math.log((hi - lo) / (3.0 * m))
-    while True:
-        mid = 0.5 * (x[:-1] + x[1:])
-        fmid = np.asarray(f_vec(mid), float)
-        x2 = np.empty(2 * m + 1)
-        f2 = np.empty(2 * m + 1)
-        x2[0::2], x2[1::2] = x, mid
-        f2[0::2], f2[1::2] = fx, fmid
-        m *= 2
-        x, fx = x2, f2
-        cur = _lse(fx, _simpson_weights(m)) + math.log((hi - lo) / (3.0 * m))
-        if abs(cur - prev) / 15.0 <= rel_tol:
-            return cur
-        if m >= max_segments:
-            raise RuntimeError("quadrature did not reach the requested tolerance")
-        prev = cur
-
-
-def _box_half_width(n: int, lam: float, tol: float) -> float:
-    """Half width X of the box truncation [-X, X]^{n-1} for the hyperplane integral.
-
-    X is chosen so that lambda * exp(X / (n-1)) >= ln(1/tol) + n X + margin,
-    which implies the cruder sufficient condition lambda e^X >= ln(1/tol) + n X:
-    outside the box either some coordinate exceeds X directly or the zero-sum
-    constraint forces the remaining coordinates above X/(n-1) on average.
-    """
-    X = 5.0
-    target = lam * n + math.log(1.0 / tol)
-    for _ in range(200):
-        X_new = (n - 1.0) * math.log((target + n * X + 12.0) / lam)
-        if abs(X_new - X) < 1e-9:
-            break
-        X = X_new
-    X = max(X, 3.0)
-    assert lam * math.exp(X) >= math.log(1.0 / tol) + n * X
-    return X
+def _exp_excess(u):
+    """e^u - 1 - u of an array, without cancellation near u = 0."""
+    return np.where(np.abs(u) < 0.5, u * u * np.polyval(_EXCESS_POLY, u), np.expm1(u) - u)
 
 
 def fn_quadrature(n: int, lam: float, tol: float = 1e-9) -> OracleResult:
-    """Brute-force ln F_n by nested one-dimensional quadrature, n in {2, 3, 4}.
+    """ln F_n, n in {2, 3, 4}, by one tilted trapezoid convolution.
 
-    Integrates exp(-lambda (sum_{k<n} e^{x_k} + e^{-sum x_k})) over the
-    truncated box, innermost dimension vectorised, all accumulation in log
-    space with max shift.  Level tolerances are tol / 3^depth.  Each level
-    is windowed by an analytic negligibility bound (regions where a single
-    exponential term already exceeds the whole error budget are dropped),
-    which is what keeps the n = 4 case fast.
+    e^{gamma sum x} = 1 on the hyperplane, so for any gamma > 0, with
+    d = ln(gamma/lambda), u = x - d and q(u) = exp(-gamma (e^u - 1 - u)),
+    ln F_n = n (gamma d - gamma) + ln (q^{*n})(-n d): the grand-canonical
+    product measure conditioned on sum x = 0.  gamma is a closed-form saddle
+    guess, so no special function is called.  On the grid u = -d + k h, cut
+    where q = tol e^-10, the trapezoid is an rfft power and a dot product; h
+    halves from min(1/4, 1/(2 sqrt gamma)) until two estimates agree within
+    tol.  err_ln = that difference + n tol e^-10 (tails) + 1e-14 (1 + |ln F|)
+    (rounding).  Raises RuntimeError when the grid needs over 2^19 nodes.
     """
     if not isinstance(n, (int, np.integer)) or not 2 <= n <= 4:
         raise ValueError("fn_quadrature supports integer n in [2, 4]")
     lam = _check_lambda(lam)
     if not 1e-12 <= tol <= 1e-3:
         raise ValueError("tol must lie in [1e-12, 1e-3]")
-    X = _box_half_width(n, lam, tol)
-    # negligibility threshold relative to the peak value exp(-lambda n)
-    budget = lam * n + math.log(1.0 / tol) + 35.0
-
-    if n == 2:
-        val = float(_inner_slab(lam, 0.0, 0.0, X)[0])
-        return OracleResult(LogValue(val), tol + 1e-12, Method.QUADRATURE)
-
-    hi_single = min(X, math.log(budget / lam))
-
-    if n == 3:
-        lo1 = max(-X, -2.0 * math.log(budget / (2.0 * lam)))
-        val = _doubling_simpson_ln(
-            lambda x1: _inner_slab(lam, np.exp(x1), x1, X),
-            lo1, hi_single, tol / 3.0,
-        )
-        return OracleResult(LogValue(val), tol + 1e-12, Method.QUADRATURE)
-
-    # n == 4: scalar outer loop, vectorised middle + inner
-    lo1 = max(-X, -3.0 * math.log(budget / (3.0 * lam)))
-
-    def outer(x1_arr):
-        out = np.empty_like(x1_arr)
-        for i, x1 in enumerate(x1_arr):
-            lo2 = max(-X, -x1 - 2.0 * math.log(budget / (2.0 * lam)))
-            if lo2 >= hi_single:
-                out[i] = -np.inf
-                continue
-            e1 = math.exp(x1)
-            out[i] = _doubling_simpson_ln(
-                lambda x2: _inner_slab(lam, e1 + np.exp(x2), x1 + x2, X),
-                lo2, hi_single, tol / 9.0,
-            )
-        return out
-
-    val = _doubling_simpson_ln(outer, lo1, hi_single, tol / 3.0)
-    return OracleResult(LogValue(val), tol + 1e-12, Method.QUADRATURE)
+    ln_lam = math.log(lam)
+    # the guesses of saddle.inverse_digamma; d keeps lambda e^d = gamma to
+    # rounding, as an error delta there moves ln F by about n gamma delta
+    large = ln_lam >= -2.22
+    gamma = lam + 0.5 if large else -1.0 / (ln_lam + np.euler_gamma)
+    d = math.log1p(0.5 / lam) if large else math.log(gamma) - ln_lam
+    # the window edges solve gamma (e^u - 1 - u) = ln(1/tol) + 10 by Newton,
+    # which stays outside the roots from starts outside them: e^u - 1 - u is
+    # >= -1 - u, >= u^2/(2e) on [-1, 0], >= u^2/2 on u >= 0, >= a at ln(1 + 2a), a >= 2
+    a = (math.log(1.0 / tol) + 10.0) / gamma
+    left = -math.sqrt(2.0 * math.e * a) if 2.0 * math.e * a <= 1.0 else -1.0 - a
+    edges = np.array([left, math.log1p(2.0 * a) if a >= 2.0 else math.sqrt(2.0 * a)])
+    for _ in range(8):
+        edges -= (_exp_excess(edges) - a) / np.expm1(edges)
+    h, ln_prev = min(0.25, 0.5 / math.sqrt(gamma)), math.nan
+    while True:
+        k_lo, k_hi = math.ceil((edges[0] + d) / h), math.floor((edges[1] + d) / h)
+        if k_hi - k_lo >= _MAX_NODES:
+            raise RuntimeError("quadrature did not reach the requested tolerance")
+        q = np.exp(-gamma * _exp_excess(np.arange(k_lo, k_hi + 1) * h - d))
+        # n - 1 factors, then the last; no wrap-around, and node k = 0 is at -k_lo
+        size = 1 << (n * (q.size - 1)).bit_length()
+        head = np.fft.irfft(np.fft.rfft(q, size) ** (n - 1), size)
+        conv = np.dot(head[(-n * k_lo - np.arange(q.size)) % size], q)
+        ln_i = math.log(conv) + (n - 1) * math.log(h)
+        diff = abs(ln_i - ln_prev)
+        if diff <= tol:
+            break
+        ln_prev, h = ln_i, 0.5 * h
+    ln_f = n * (gamma * d - gamma) + ln_i
+    err = diff + n * tol * math.exp(-10.0) + 1e-14 * (1.0 + abs(ln_f))
+    return OracleResult(LogValue(ln_f), err, Method.QUADRATURE)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +218,9 @@ def fn_contour(n: int, lam: float) -> OracleResult:
     powers = np.arange(_EDGE_CANDIDATES)
     for batch in range(_EDGE_BATCHES):
         candidates = 8.0 / math.sqrt(n * sol.sigma) * 1.5 ** (powers + batch * powers.size)
-        edges = n * (ln_gamma_complex(gamma + 1j * candidates).real - gamma * ln_lam - phi0)
+        # |z| > 1e154 overflows z * z in the series: not finite, never the edge
+        with np.errstate(over="ignore", invalid="ignore"):
+            edges = n * (ln_gamma_complex(gamma + 1j * candidates).real - gamma * ln_lam - phi0)
         below = np.flatnonzero(edges < -_LN_EPS)
         if below.size:
             break
@@ -367,8 +284,11 @@ def fn_saddle_asymptotic(n: int, lam: float) -> OracleResult:
     psi3 = (
         trigamma(sol.gamma + step) - 2.0 * sol.sigma + trigamma(sol.gamma - step)
     ) / (step * step)
-    t1 = psi3 / (8.0 * sol.sigma**2)
-    t2 = 5.0 * psi2**2 / (24.0 * sol.sigma**3)
+    # scaling by 2^k is exact and keeps sigma^3 from underflowing past lambda ~ 1e108
+    k = -math.frexp(sol.sigma)[1]
+    sigma = math.ldexp(sol.sigma, k)
+    t1 = math.ldexp(psi3, 2 * k) / (8.0 * sigma**2)
+    t2 = math.ldexp(5.0 * math.ldexp(psi2, 2 * k) ** 2 / (24.0 * sigma**3), -k)
     err = 2.0 * abs(t1 - t2) / n + _ASYMPTOTIC_C * (abs(t1) + abs(t2)) / n**2 + 1e-10
     return OracleResult(LogValue(ln_f), err, Method.ASYMPTOTIC)
 

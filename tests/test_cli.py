@@ -136,8 +136,8 @@ def test_compare_exact_routes_agree(capsys):
      "refused (monte-carlo): degenerate importance weights: effective sample size 23.0\n",
      "40,1.0000000000000000e+00,,,-7.6057313734996583e+00,,-7.6063989624689121e+00,"
      "0.0000000000000000e+00\n"),
-    ("compare --n 3 --lambda 1e8",
-     "refused (quadrature): quadrature did not reach the requested tolerance\n",
+    ("compare --n 3 --lambda 1e8 --tol 1e-2",
+     "refused (quadrature): tol must lie in [1e-12, 1e-3]\n",
      "3,1.0000000000000000e+08,,,-3.0000001713211024e+08,,-3.0000001713210988e+08,"
      "0.0000000000000000e+00\n"),
 ], ids=["monte-carlo-refuses", "quadrature-refuses"])
@@ -145,6 +145,23 @@ def test_compare_reports_a_refusing_route_and_keeps_the_rest(capsys, argv, refus
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, err) == (0, refused)
     assert out.splitlines()[1] + "\n" == row
+
+
+def test_asymptotic_past_the_underflow_of_sigma_cubed(capsys):
+    # sigma^3 underflowed to zero from lambda ~ 1e108 on: a ZeroDivisionError
+    # traceback from `oracle` and an aborted `compare`
+    code, out, err = run_cli(capsys, "oracle", "--method", "asymptotic", "--n", "3",
+                             "--lambda", "1e200")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == (
+        "3,9.9999999999999997e+199,asymptotic,-2.9999999999999540e+200,1.0000000000000000e-10"
+    )
+    code, out, err = run_cli(capsys, "compare", "--n", "3", "--lambda", "1e200")
+    assert (code, err) == (0, "refused (contour): failed to truncate the contour integrand\n")
+    assert out.splitlines()[1] == (
+        "3,9.9999999999999997e+199,,-2.9999999999999999e+200,,,-2.9999999999999540e+200,"
+        "0.0000000000000000e+00"
+    )
 
 
 def test_compare_fails_only_without_an_exact_route(capsys):
@@ -223,14 +240,18 @@ def test_bad_grid_exits_one(capsys):
 # since on purpose: the asymptotic err_est gained its c (|t1| + |t2|) / n^2
 # term (2.6752125057520053e-02 before), and the adaptive-step contour moved
 # every contour value, its err_est, and the compare deviation and ensemble
-# ln_dn_per_n cells built on them, each by less than 1e-13 (1 + |v|).
+# ln_dn_per_n cells built on them, each by less than 1e-13 (1 + |v|).  The
+# tilted FFT quadrature replaced the nested box quadrature: its cells, its
+# err_est (tol + 1e-12 before, now the halving difference + n tol e^-10 +
+# 1e-14 (1 + |ln F|)) and the deviations of the rows that hold it moved, the
+# cells by at most 1.1e-15.
 GOLDEN = [
     ("oracle --method closed-form --n 2 --lambda 1",
      "n,lambda,method,ln_F,err_est\n"
      "2,1.0000000000000000e+00,closed-form,-1.4793410244157648e+00,1.0000000000000000e-10\n"),
     ("oracle --method quadrature --n 2 --lambda 1",
      "n,lambda,method,ln_F,err_est\n"
-     "2,1.0000000000000000e+00,quadrature,-1.4793410244157643e+00,1.0010000000000002e-09\n"),
+     "2,1.0000000000000000e+00,quadrature,-1.4793410244157645e+00,1.1559326976912734e-13\n"),
     ("oracle --method contour --n 2 --lambda 1",
      "n,lambda,method,ln_F,err_est\n"
      "2,1.0000000000000000e+00,contour,-1.4793410244157656e+00,2.5443751122522321e-12\n"),
@@ -242,12 +263,12 @@ GOLDEN = [
      "2,1.0000000000000000e+00,monte-carlo,-1.4785134513253853e+00,8.7313043809550362e-04\n"),
     ("compare --n 2 --lambda 1",
      "n,lambda,closed-form,quadrature,contour,monte-carlo,asymptotic,max_pairwise_dev\n"
-     "2,1.0000000000000000e+00,-1.4793410244157648e+00,-1.4793410244157643e+00,"
-     "-1.4793410244157656e+00,,-1.4920537853295990e+00,1.3322676295501878e-15\n"),
+     "2,1.0000000000000000e+00,-1.4793410244157648e+00,-1.4793410244157645e+00,"
+     "-1.4793410244157656e+00,,-1.4920537853295990e+00,1.1102230246251565e-15\n"),
     ("compare --n 3 --lambda 0.5 --samples 20000 --seed 3",
      "n,lambda,closed-form,quadrature,contour,monte-carlo,asymptotic,max_pairwise_dev\n"
-     "3,5.0000000000000000e-01,,3.0947544338275934e-01,3.0947544338276128e-01,"
-     "3.1182869067119112e-01,2.9940754186781393e-01,1.9428902930940239e-15\n"),
+     "3,5.0000000000000000e-01,,3.0947544338276034e-01,3.0947544338276128e-01,"
+     "3.1182869067119112e-01,2.9940754186781393e-01,9.4368957093138306e-16\n"),
     ("ensemble --f 1,2,3 --epsilon 0.02 --n-grid 5,10,20",
      "n,lambda_eff,ln_dn_per_n,regime,ln_psi_theta\n"
      "5,1.8171205928321394e+00,-1.5026061269302200e+00,vanishes,-5.9725315640935162e-01\n"
