@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from decimal import Decimal
 
@@ -44,6 +45,22 @@ LN_F2_LARGE = {
 # saddle line: 30 digits at lambda = 1e-20, 40 digits at 1e8
 LN_F3_1EM20 = "9.1386453630632350"
 LN_F3_1E8 = "-300000017.13210982298818594"
+# ln(2 K0(2 lambda)), mpmath 1.3.0, 40 digits, at both ends of lambda
+LN_F2_ENDS = {
+    1e-90: "6.024200058962106848931154773916447503474",
+    10**-60.8: "5.630637839292205349811113840652621990197",
+    3e17: "-600000000000000019.5489144918587430729872",
+    1e100: "-2.000000000000000031805782219519836093672e+100",
+    1e300: "-2.000000000000000105009520510408840497409e+300",
+}
+# The Monte Carlo grid.  At 2e4 samples, seed 3, the Gaussian importance
+# proposal refused 28 of these 42 points: all but lambda in [1e-3, 5000] at
+# n in {2, 3} and lambda in [1e-3, 50] at n = 8.
+MC_GRID = [
+    (n, lam)
+    for n in (2, 3, 8, 40, 200)
+    for lam in (1e-20, 1e-12, 1e-3, 0.01, 1.0, 50.0, 5000.0, 1e8)
+] + [(6, 5000.0), (1000, 1.0)]
 
 
 def _deviation(value, exact):
@@ -66,6 +83,13 @@ class TestClosedForms:
         # the flat 1e-10 claim was breached here: 5.2e-9 at 1e8, 1.8e-5 at 1e12
         res = f2_exact(lam)
         assert _deviation(res.value.ln_value, LN_F2_LARGE[lam]) <= res.err_ln
+
+    @pytest.mark.parametrize("lam", list(LN_F2_ENDS))
+    def test_f2_at_both_ends_of_lambda(self, lam):
+        # 256 fixed panels broke the 1e-10 claim below lambda ~ 1e-55 (5e-8 off
+        # at 1e-90), and arccosh(1 + 48/x) rounded to 0 from lambda ~ 3e17 up
+        res = f2_exact(lam)
+        assert _deviation(res.value.ln_value, LN_F2_ENDS[lam]) <= res.err_ln
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -293,6 +317,13 @@ class TestSaddleAsymptotic:
         assert math.isfinite(res.value.ln_value) and math.isfinite(res.err_ln)
         assert abs(res.value.ln_value + 3.0 * lam) <= 1e-12 * 3.0 * lam
 
+    @pytest.mark.parametrize("lam", [1e110, 1e200, 1e300])
+    def test_claim_covers_the_rounding_of_n_ln_l(self, lam):
+        # without its rounding term the claim was 1e-10 at n = 3, lambda = 1e200,
+        # 4.6e186 off the quadrature
+        a, q = fn_saddle_asymptotic(3, lam), fn_quadrature(3, lam)
+        assert abs(a.value.ln_value - q.value.ln_value) <= a.err_ln + q.err_ln
+
     def test_n1_crude_sanity(self):
         assert abs(fn_saddle_asymptotic(1, 1.0).value.ln_value - (-1.0)) < 1.0
 
@@ -380,9 +411,27 @@ class TestMonteCarlo:
         b = fn_montecarlo(3, 0.7, 20_000, seed=2)
         assert a.value.ln_value != b.value.ln_value
 
-    def test_degenerate_weights_guard(self):
-        with pytest.raises(RuntimeError):
-            fn_montecarlo(6, 5000.0, 10_000, seed=3)
+    @pytest.mark.parametrize("n, lam", MC_GRID)
+    def test_within_five_standard_errors_on_a_grid(self, n, lam):
+        res = fn_montecarlo(n, lam, 20_000, seed=3)
+        ref = f2_exact(lam) if n == 2 else fn_contour(n, lam)
+        assert abs(res.value.ln_value - ref.value.ln_value) <= 5.0 * res.err_ln + ref.err_ln
+
+    @pytest.mark.parametrize("lam", [1e110, 1e200, 1e300])
+    def test_claim_covers_the_rounding_of_n_ln_l(self, lam):
+        res, q = fn_montecarlo(3, lam, 10_000, seed=3), fn_quadrature(3, lam)
+        assert abs(res.value.ln_value - q.value.ln_value) <= res.err_ln + q.err_ln
+
+    def test_memory_is_linear_in_samples(self):
+        # the Gaussian proposal held several (samples x n) arrays: 96 MB here
+        samples = 20_000
+        tracemalloc.start()
+        try:
+            fn_montecarlo(200, 1.0, samples, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * samples * 8
 
     def test_rejects_small_sample_counts(self):
         with pytest.raises(ValueError):
@@ -407,7 +456,7 @@ class TestErrorClaimsAcrossRoutes:
 class TestRouteTable:
     def test_evaluate_refuses_exactly_outside_coverage(self):
         for method, route in ROUTES.items():
-            for n in range(0, 6):
+            for n in (*range(0, 6), 1000, 1001):
                 if route.covers(n):
                     res = evaluate(method, n, 1.0, samples=10_000, seed=1)
                     assert res.method is method and math.isfinite(res.value.ln_value)
