@@ -38,7 +38,7 @@ import numpy as np
 
 from .logvalue import LogValue
 from .saddle import SaddleSolution, solve_saddle
-from .specfun import bessel_k0, ln_gamma_complex, trigamma
+from .specfun import _psi2_psi3, bessel_k0, ln_gamma_complex
 
 
 class Method(str, enum.Enum):
@@ -103,7 +103,8 @@ def fn_quadrature(n: int, lam: float, tol: float = 1e-9) -> OracleResult:
     where q = tol e^-10, the trapezoid is an rfft power and a dot product; h
     halves from min(1/4, 1/(2 sqrt gamma)) until two estimates agree within
     tol.  err_ln = that difference + n tol e^-10 (tails) + 1e-14 (1 + |ln F|)
-    (rounding).  Raises RuntimeError when the grid needs over 2^19 nodes.
+    (rounding).  Raises RuntimeError when the grid needs over 2^19 nodes, and
+    ValueError where ln F_n ~ -n lambda is below -max float.
     """
     if not isinstance(n, (int, np.integer)) or not 2 <= n <= 4:
         raise ValueError("fn_quadrature supports integer n in [2, 4]")
@@ -140,6 +141,8 @@ def fn_quadrature(n: int, lam: float, tol: float = 1e-9) -> OracleResult:
             break
         ln_prev, h = ln_i, 0.5 * h
     ln_f = n * (gamma * d - gamma) + ln_i
+    if not math.isfinite(ln_f):
+        raise ValueError(f"ln F_n is below -max float at n = {n}, lambda = {lam!r}")
     err = diff + n * tol * math.exp(-10.0) + 1e-14 * (1.0 + abs(ln_f))
     return OracleResult(LogValue(ln_f), err, Method.QUADRATURE)
 
@@ -254,9 +257,9 @@ def fn_contour(n: int, lam: float) -> OracleResult:
 
 # c of the asymptotic route's O(1/n^2) error term.  Where t1 - t2 changes
 # sign (lambda ~ 0.0944) the 1/n term vanishes; the deviation from the
-# contour route there is 0.015-0.018 (|t1| + |t2|) / n^2 for n <= 40 and
-# 0.028 (|t1| + |t2|) / n^2 at n = 1000, where the finite-difference error in
-# t1 - t2 adds a 1/n part (3001 lambda in [0.05, 0.2]).
+# contour route there, less the rest of the claim, is at most
+# 0.015-0.018 (|t1| + |t2|) / n^2 for every n from 1 to 1000 (3001 lambda in
+# [0.05, 0.2]; the worst is lambda = 0.09435 at each n).
 _ASYMPTOTIC_C = 0.1
 
 
@@ -268,8 +271,8 @@ def _ln_l_rounding(n: int, sol: SaddleSolution) -> float:
 def fn_saddle_asymptotic(n: int, lam: float) -> OracleResult:
     """Gaussian saddle-point estimate ln F_n ~ n ln L - (1/2) ln(2 pi n sigma).
 
-    With t1 = psi'''/(8 sigma^2) and t2 = 5 psi''^2 / (24 sigma^3)
-    (derivatives by central differences of trigamma), the next-order term is
+    With t1 = psi'''/(8 sigma^2) and t2 = 5 psi''^2 / (24 sigma^3), psi''
+    and psi''' exact from their asymptotic series, the next-order term is
     (t1 - t2)/n and the error claim is
 
         2 |t1 - t2| / n + c (|t1| + |t2|) / n^2 + 1e-10 + r,  c = 0.1,
@@ -277,24 +280,19 @@ def fn_saddle_asymptotic(n: int, lam: float) -> OracleResult:
     r = 1e-15 n (1 + |ln L| + 2 gamma |ln lambda|) being the rounding of n ln L.
     The 1/n^2 term keeps the claim an upper bound near lambda ~ 0.0944,
     where t1 - t2 changes sign and the 1/n term alone falls to zero; c is
-    more than three times the largest coefficient seen there.  Cross-oracle
-    tests confirm the claim down to n = 1.
+    more than five times the largest coefficient seen there.  Cross-oracle
+    tests confirm the claim from n = 1 to 1e5.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("fn_saddle_asymptotic requires integer n >= 1")
     lam = _check_lambda(lam)
     sol = solve_saddle(lam)
     ln_f = n * sol.ln_L - 0.5 * math.log(2.0 * math.pi * n * sol.sigma)
-    step = 1e-3 * (1.0 + sol.gamma)
-    psi2 = (trigamma(sol.gamma + step) - trigamma(sol.gamma - step)) / (2.0 * step)
-    psi3 = (
-        trigamma(sol.gamma + step) - 2.0 * sol.sigma + trigamma(sol.gamma - step)
-    ) / (step * step)
-    # scaling by 2^k is exact and keeps sigma^3 from underflowing past lambda ~ 1e108
-    k = -math.frexp(sol.sigma)[1]
-    sigma = math.ldexp(sol.sigma, k)
-    t1 = math.ldexp(psi3, 2 * k) / (8.0 * sigma**2)
-    t2 = math.ldexp(5.0 * math.ldexp(psi2, 2 * k) ** 2 / (24.0 * sigma**3), -k)
+    psi2, psi3 = _psi2_psi3(sol.gamma)
+    # sigma > 0 for every finite lambda; dividing by it twice, never by sigma^3,
+    # keeps both terms from underflowing to a division by zero
+    t1 = psi3 / sol.sigma / (8.0 * sol.sigma)
+    t2 = 5.0 * (psi2 / sol.sigma) ** 2 / (24.0 * sol.sigma)
     err = 2.0 * abs(t1 - t2) / n + _ASYMPTOTIC_C * (abs(t1) + abs(t2)) / n**2 + 1e-10
     err += _ln_l_rounding(n, sol)
     return OracleResult(LogValue(ln_f), err, Method.ASYMPTOTIC)

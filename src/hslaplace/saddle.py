@@ -61,20 +61,23 @@ _GUESS_SWITCH = -2.22
 # above ln(max float) ~ 709.78 the root, about e^y, is not a finite double
 _Y_MAX = math.log(sys.float_info.max)
 _DOMAIN = f"inverse_digamma requires finite y <= ln(max float) = {_Y_MAX:.2f}"
+_LN_L_OVERFLOW = "ln L is not a finite double at lambda = {!r}: ln Gamma(gamma) overflows"
 
 
 def inverse_digamma(y):
     """The unique gamma > 0 with psi(gamma) = y; accepts scalars or arrays.
 
-    Newton iteration with a bisection-safeguarded bracket; the initial guess
-    is exp(y) + 1/2 for y >= -2.22 (from psi(g) ~ ln g - 1/(2g)) and
-    -1/(y + C) below (from psi(g) ~ -1/g - C).  Raises ValueError for y
-    that is not finite or exceeds ln(max float) ~ 709.78, where the root is
-    not a finite double, and RuntimeError if the residual tolerance is not
-    met within the iteration cap, which would indicate a kernel bug rather
-    than a bad input.  Arrays go through
-    ``_inverse_digamma_array``, which agrees with the scalar route to 1e-13
-    relative.
+    Newton iteration with a safeguarded bracket; the initial guess is
+    exp(y) + 1/2 for y >= -2.22 (from psi(g) ~ ln g - 1/(2g)) and
+    -1/(y + C) below (from psi(g) ~ -1/g - C).  The bracket starts at
+    (0, inf) and the residual signs narrow it; a step that leaves it is
+    replaced by the midpoint, or by twice the lower end while the bracket
+    has no upper end.  Raises ValueError for y that is not finite or exceeds
+    ln(max float) ~ 709.78, where the root is not a finite double, and
+    RuntimeError if the residual tolerance is not met within the iteration
+    cap, which would indicate a kernel bug rather than a bad input.  Arrays
+    go through ``_inverse_digamma_array``, which agrees with the scalar route
+    to 1e-13 relative.
     """
     if not isinstance(y, (float, int)):
         return _inverse_digamma_array(y)
@@ -85,12 +88,7 @@ def inverse_digamma(y):
         g = math.exp(y) + 0.5
     else:
         g = -1.0 / (y + EULER_GAMMA)
-    # bracket the root; psi is strictly increasing onto all of R
-    lo = hi = g
-    while digamma(lo) > y:
-        lo *= 0.5
-    while digamma(hi) < y:
-        hi *= 2.0
+    lo, hi = 0.0, math.inf
     for _ in range(_NEWTON_CAP):
         r = digamma(g) - y
         if abs(r) < _NEWTON_TOL:
@@ -102,7 +100,7 @@ def inverse_digamma(y):
         step = r / trigamma(g)
         g_new = g - step
         if not (lo < g_new < hi):
-            g_new = 0.5 * (lo + hi)
+            g_new = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
         g = g_new
     if abs(digamma(g) - y) < 1e-12:
         return g
@@ -115,12 +113,9 @@ def inverse_digamma(y):
 def _inverse_digamma_array(y):
     """inverse_digamma over an array: one Newton pass over every element.
 
-    Same guesses, stopping rule, cap and errors as the scalar route, but with
-    no bracketing pre-pass: each element starts from the bracket (0, inf),
-    which its residual signs narrow, and a step that leaves the bracket is
-    replaced by the midpoint, or by twice the lower end while the bracket
-    has no upper end.  Each iteration evaluates psi and psi' of the elements
-    not yet converged in one pass.
+    Same guesses, bracket rule, stopping rule, cap and errors as the scalar
+    route, element by element.  Each iteration evaluates psi and psi' of the
+    elements not yet converged in one pass.
     """
     arr = np.asarray(y, dtype=float)
     bad = ~(np.isfinite(arr) & (arr <= _Y_MAX))
@@ -165,18 +160,19 @@ def _inverse_digamma_array(y):
 
 
 def solve_saddle(lam: float) -> SaddleSolution:
-    """Saddle data (gamma, ln L, sigma) at lambda = lam > 0."""
+    """Saddle data (gamma, ln L, sigma) at lambda = lam > 0.
+
+    Raises ValueError where ln L is not a finite double (lambda >~ 2.56e305).
+    """
     lam = float(lam)
     if not math.isfinite(lam) or lam <= 0.0:
         raise ValueError("solve_saddle requires lambda > 0")
     ln_lam = math.log(lam)
     gamma = inverse_digamma(ln_lam)
-    return SaddleSolution(
-        lam=lam,
-        gamma=gamma,
-        ln_L=ln_gamma(gamma) - gamma * ln_lam,
-        sigma=trigamma(gamma),
-    )
+    ln_L = ln_gamma(gamma) - gamma * ln_lam
+    if not math.isfinite(ln_L):
+        raise ValueError(_LN_L_OVERFLOW.format(lam))
+    return SaddleSolution(lam=lam, gamma=gamma, ln_L=ln_L, sigma=trigamma(gamma))
 
 
 def L_value(lam: float) -> LogValue:
@@ -293,7 +289,9 @@ def gamma_asymptotic_zero(lam: float) -> float:
     return 1.0 / (-math.log(lam) - EULER_GAMMA)
 
 
-@np.errstate(over="ignore")  # as for _inverse_digamma_array
+# over as for _inverse_digamma_array; where ln Gamma overflows ln L is
+# inf - inf, refused below
+@np.errstate(over="ignore", invalid="ignore")
 def tabulate(lambda_grid) -> list[SaddleSolution]:
     """Saddle solutions over a strictly increasing positive grid.
 
@@ -302,7 +300,8 @@ def tabulate(lambda_grid) -> list[SaddleSolution]:
     depend on evaluation order.  The whole grid is solved in one array pass
     (``inverse_digamma`` on an array), agreeing with ``solve_saddle`` point
     by point to 1e-13 relative in gamma and sigma and to
-    1e-13 * max(1, |ln L|) in ln L, which crosses zero at lambda_cr.
+    1e-13 * max(1, |ln L|) in ln L, which crosses zero at lambda_cr.  Raises
+    ValueError naming the first grid point where ln L is not a finite double.
     """
     grid = [float(v) for v in lambda_grid]
     if any(not math.isfinite(v) or v <= 0.0 for v in grid):
@@ -313,6 +312,9 @@ def tabulate(lambda_grid) -> list[SaddleSolution]:
     ln_lam = np.array([math.log(v) for v in grid])
     gamma = inverse_digamma(ln_lam)
     ln_L = ln_gamma(gamma) - gamma * ln_lam
+    bad = np.flatnonzero(~np.isfinite(ln_L))
+    if bad.size:
+        raise ValueError(_LN_L_OVERFLOW.format(grid[bad[0]]))
     sigma = trigamma(gamma)
     return [
         SaddleSolution(*row)

@@ -1,8 +1,9 @@
 """Special-function kernel: ln Gamma (real and complex), digamma, trigamma, K0.
 
-All four Gamma-family routines use one scheme: shift the argument up by the
-recurrence until it is >= 10, then sum a Bernoulli-coefficient asymptotic
-series.  That covers the whole positive axis (and the right half plane for
+All four Gamma-family routines, and the private psi'' and psi''' pair, use
+one scheme: shift the argument up by the recurrence until it is >= 10, then
+sum an asymptotic series with coefficients from one table of Bernoulli
+numbers.  That covers the whole positive axis (and the right half plane for
 the complex case) without reflection formulas, which is all this package
 ever needs.
 
@@ -30,38 +31,16 @@ EULER_GAMMA = 0.5772156649015329
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 _SHIFT = 10.0
 
-# B_{2k} / ((2k)(2k-1)) -- ln Gamma series
-_LNGAMMA_COEFF = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-)
-# B_{2k} / (2k) -- digamma series
-_DIGAMMA_COEFF = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-    -3617.0 / 8160.0,
-)
-# B_{2k} -- trigamma series
-_TRIGAMMA_COEFF = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-    -3617.0 / 510.0,
+# B_2, B_4, ..., B_16 as (numerator, denominator).  The series of psi^(m),
+# m = -1 meaning ln Gamma, has the coefficients B_2k (2k+m-1)! / (2k)!; exact
+# int true division rounds once, so each equals its literal fraction.
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510))
+_LNGAMMA_COEFF, _DIGAMMA_COEFF, _TRIGAMMA_COEFF, _PSI2_COEFF, _PSI3_COEFF = (
+    tuple(
+        p * math.factorial(2 * k + m - 1) / (q * math.factorial(2 * k))
+        for k, (p, q) in enumerate(_BERNOULLI, 1)
+    )
+    for m in range(-1, 4)
 )
 
 
@@ -178,6 +157,22 @@ def trigamma(x):
     z, w, ((s, shift),) = _series_array(arr, _TRIGAMMA_SERIES)
     out = 1.0 / z + 0.5 * w + s * w / z + shift
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def _psi2_psi3(x):
+    """psi''(x) and psi'''(x) of a float x > 0, unchecked (DLMF 5.15.8)."""
+    shift2 = shift3 = 0.0
+    while x < _SHIFT:
+        x2 = x * x
+        shift2 -= 2.0 / (x2 * x)
+        shift3 += 6.0 / (x2 * x2)
+        x += 1.0
+    w = 1.0 / (x * x)
+    s2, s3 = _PSI2_COEFF[-1], _PSI3_COEFF[-1]
+    for c2, c3 in zip(_PSI2_COEFF[-2::-1], _PSI3_COEFF[-2::-1]):
+        s2 = s2 * w + c2
+        s3 = s3 * w + c3
+    return shift2 - w * (1.0 + 1.0 / x + s2 * w), shift3 + w / x * (2.0 + 3.0 / x + s3 * w)
 
 
 def ln_gamma_complex(z):

@@ -165,6 +165,30 @@ def test_asymptotic_past_the_underflow_of_sigma_cubed(capsys):
     )
 
 
+@pytest.mark.parametrize("argv,lam", [
+    ("eval --lambda 1e306", "1e+306"),
+    ("table --grid-max 1e308", "2.7364399970747335e+306"),
+])
+def test_refuses_where_ln_l_overflows(capsys, argv, lam):
+    # both printed nan with exit 0, and table leaked a numpy RuntimeWarning
+    code, out, err = run_cli(capsys, *argv.split())
+    command = argv.split()[0]
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error ({command}): ln L is not a finite double at lambda = {lam}: "
+        "ln Gamma(gamma) overflows\n"
+    )
+
+
+@pytest.mark.parametrize("n", ["2", "3", "40"])
+@pytest.mark.parametrize("lam", ["3e305", "5e307", "1.7e308"])
+def test_compare_refusals_name_their_cause_at_the_top_of_lambda(capsys, n, lam):
+    # the saddle routes refused with "ln_value must be finite, got nan", and
+    # quadrature with "got -inf", naming neither n nor lambda
+    _, _, err = run_cli(capsys, "compare", "--n", n, "--lambda", lam, "--samples", "10000")
+    assert err and "ln_value must be finite" not in err
+
+
 def test_compare_fails_only_without_an_exact_route(capsys):
     code, out, err = run_cli(capsys, "compare", "--n", "0", "--lambda", "1")
     assert (code, out) == (1, "")
@@ -250,6 +274,8 @@ def test_bad_grid_exits_one(capsys):
 # before).  The Monte Carlo cells come from the conditional estimator that
 # replaced the Gaussian importance proposal (-1.4785134513253853e+00 with
 # err_est 8.7313043809550362e-04, and 3.1182869067119112e-01 at n = 3, before).
+# The asymptotic err_est takes psi'' and psi''' exactly from their series
+# instead of central differences of trigamma (3.6435617745341459e-02 before).
 GOLDEN = [
     ("oracle --method closed-form --n 2 --lambda 1",
      "n,lambda,method,ln_F,err_est\n"
@@ -262,7 +288,7 @@ GOLDEN = [
      "2,1.0000000000000000e+00,contour,-1.4793410244157656e+00,2.5443751122522321e-12\n"),
     ("oracle --method asymptotic --n 2 --lambda 1",
      "n,lambda,method,ln_F,err_est\n"
-     "2,1.0000000000000000e+00,asymptotic,-1.4920537853295990e+00,3.6435617745341459e-02\n"),
+     "2,1.0000000000000000e+00,asymptotic,-1.4920537853295990e+00,3.6436301400353387e-02\n"),
     ("oracle --method monte-carlo --n 2 --lambda 1 --samples 20000 --seed 3",
      "n,lambda,method,ln_F,err_est\n"
      "2,1.0000000000000000e+00,monte-carlo,-1.4826168743758528e+00,3.2125650769621217e-03\n"),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 from decimal import Decimal
@@ -249,6 +250,13 @@ class TestQuadrature:
         with pytest.raises(RuntimeError, match="quadrature did not reach the requested tolerance"):
             fn_quadrature(3, 1.0)
 
+    def test_refuses_where_ln_f_is_below_the_largest_double(self):
+        # ln F_n ~ -n lambda; it was "ln_value must be finite, got -inf"
+        assert fn_quadrature(2, 5e307).value.ln_value == -1e308
+        for n, lam in ((3, 1.7e308), (4, 5e307)):
+            with pytest.raises(ValueError, match=re.escape(f"n = {n}, lambda = {lam!r}")):
+                fn_quadrature(n, lam)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             fn_quadrature(1, 1.0)
@@ -323,6 +331,16 @@ class TestSaddleAsymptotic:
         # 4.6e186 off the quadrature
         a, q = fn_saddle_asymptotic(3, lam), fn_quadrature(3, lam)
         assert abs(a.value.ln_value - q.value.ln_value) <= a.err_ln + q.err_ln
+
+    def test_claim_alone_covers_the_deviation_at_large_n(self):
+        # psi'' and psi''' by central differences of trigamma biased t1 - t2
+        # here: at n = 1e4, lambda = 0.0944 the deviation was 1.44e-9 against
+        # a claim of 1.42e-9
+        for n in (1000, 3000, 10_000, 100_000):
+            for lam in np.linspace(0.0940, 0.0948, 81):
+                a = fn_saddle_asymptotic(n, lam)
+                diff = abs(a.value.ln_value - fn_contour(n, lam).value.ln_value)
+                assert diff <= a.err_ln, (n, lam, diff, a.err_ln)
 
     def test_n1_crude_sanity(self):
         assert abs(fn_saddle_asymptotic(1, 1.0).value.ln_value - (-1.0)) < 1.0
@@ -432,6 +450,13 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 10 * samples * 8
+
+    def test_saddle_routes_refuse_where_ln_l_overflows(self):
+        # both failed with "ln_value must be finite, got nan", naming nothing
+        for call in (lambda: fn_montecarlo(2, 5e307, 10_000, seed=0),
+                     lambda: fn_saddle_asymptotic(2, 5e307)):
+            with pytest.raises(ValueError, match=re.escape("at lambda = 5e+307")):
+                call()
 
     def test_rejects_small_sample_counts(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Saddle layer: inverse digamma, the two L routes, the critical point."""
 
 import math
+import re
 import sys
 import warnings
 
@@ -110,6 +111,29 @@ class TestSolveSaddle:
             solve_saddle(0.0)
         with pytest.raises(ValueError):
             solve_saddle(-1.0)
+
+    def test_few_digamma_calls(self, monkeypatch):
+        # the bracket starts at (0, inf); a pre-pass that bracketed the root
+        # first took 7 calls at lambda = 1
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return digamma(x)
+
+        monkeypatch.setattr(hslaplace.saddle, "digamma", counting)
+        solve_saddle(1.0)
+        assert len(calls) <= 4
+
+    @pytest.mark.parametrize("lam", [3e305, 5e307, 1.7e308])
+    def test_refuses_where_ln_l_overflows(self, lam):
+        # ln Gamma(gamma) overflows from lambda ~ 2.56e305 on; ln L was nan
+        with pytest.raises(ValueError, match=re.escape(f"at lambda = {lam!r}")):
+            solve_saddle(lam)
+
+    def test_largest_finite_ln_l(self):
+        sol = solve_saddle(2.5e305)
+        assert math.isfinite(sol.ln_L) and sol.ln_L < -2.4e305
 
 
 class TestLValue:
@@ -335,6 +359,12 @@ class TestArrayRoute:
             inverse_digamma(np.array([0.0, -2.0]))
         with pytest.raises(RuntimeError, match="failed to converge"):
             tabulate([0.5, 1.0])
+
+    def test_refuses_where_ln_l_overflows_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape("at lambda = 3e+305")):
+                tabulate([1e300, 2.5e305, 3e305, 1e308])
 
     def test_no_numpy_warnings(self):
         # above lambda ~ 1e154 the series' z * z overflows to inf (harmlessly)

@@ -22,6 +22,7 @@ from hslaplace import (
     ln_gamma_complex,
     trigamma,
 )
+from hslaplace import specfun
 
 # frozen external references (mpmath, 40 significant digits)
 DIGAMMA_1E4 = 9.210290371142849
@@ -239,3 +240,51 @@ class TestBesselK0:
 
 def test_euler_constant_invariant():
     assert abs(digamma(1.0) + EULER_GAMMA) < 1e-14
+
+
+class TestBernoulliTables:
+    """Every series table derives from one Bernoulli table; each entry must
+    equal the literal fraction it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("table,literals", [
+        ("_LNGAMMA_COEFF", (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
+                            1.0 / 1188.0, -691.0 / 360360.0, 1.0 / 156.0, -3617.0 / 122400.0)),
+        ("_DIGAMMA_COEFF", (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0,
+                            1.0 / 132.0, -691.0 / 32760.0, 1.0 / 12.0, -3617.0 / 8160.0)),
+        ("_TRIGAMMA_COEFF", (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0,
+                             5.0 / 66.0, -691.0 / 2730.0, 7.0 / 6.0, -3617.0 / 510.0)),
+        # B_2k (2k + 1) and B_2k (2k + 1)(2k + 2)
+        ("_PSI2_COEFF", (1.0 / 2.0, -1.0 / 6.0, 1.0 / 6.0, -3.0 / 10.0,
+                         5.0 / 6.0, -691.0 / 210.0, 35.0 / 2.0, -3617.0 / 30.0)),
+        ("_PSI3_COEFF", (2.0, -1.0, 4.0 / 3.0, -3.0,
+                         10.0, -691.0 / 15.0, 280.0, -10851.0 / 5.0)),
+    ])
+    def test_derived_table_equals_the_literal_fractions(self, table, literals):
+        assert getattr(specfun, table) == literals
+
+
+# psi''(x) and psi'''(x): frozen mpmath polygamma(2, x) and polygamma(3, x),
+# 40 significant digits; 1.376610918646214 is gamma_cr as critical_point() returns it
+PSI2_PSI3_REFERENCE = [
+    (1e-3, "-2.000000002397632164833240315048728091608e+9",
+     "6.000000000006468614455574632804812484504e+12"),
+    (0.1, "-2001.861457378343673222050830029333882111", "60004.51287679025338427076939422380056188"),
+    (1.0, "-2.40411380631918857079947632302289998153", "6.493939402266829149096022179247007416649"),
+    (1.376610918646214, "-1.033063454749687871116859529218771700765",
+     "1.938204732977586189902008000366855073349"),
+    (9.99, "-0.0110730705314610511582195583612192777045",
+     "0.002327215939964079797715300987072063896561"),
+    (10.0, "-0.01104983497080206746210374906680372762571",
+     "0.002319901304289868385557651340158666118367"),
+    (1e3, "-1.001000499999833333499999700000833330043e-6",
+     "2.003001999999000001333330333343333287267e-9"),
+    (1e8, "-1.000000010000000049999999999999998333333e-16",
+     "2.00000003000000019999999999999999e-24"),
+]
+
+
+@pytest.mark.parametrize("x,psi2,psi3", PSI2_PSI3_REFERENCE)
+def test_psi2_psi3_against_mpmath(x, psi2, psi3):
+    got2, got3 = specfun._psi2_psi3(x)
+    assert abs(got2 - float(psi2)) <= 1e-13 * abs(float(psi2))
+    assert abs(got3 - float(psi3)) <= 1e-13 * abs(float(psi3))
