@@ -5,7 +5,7 @@ hyperplane sum_k x_k = 0, in the coordinate normalisation that integrates
 out x_n (so F_1(lambda) = e^{-lambda}).  Four routes compute its log:
 
 * closed forms for n = 1 and n = 2 (F_2 = 2 K0(2 lambda));
-* for n in {2, 3, 4}, the hyperplane trapezoid as one tilted FFT convolution;
+* for n in [2, 1000], the hyperplane trapezoid on one periodic tilted lattice;
 * the inverse Mellin contour integral (any n), trapezoid on the vertical
   line through the saddle abscissa, its step halved from
   min(T/50, 2 pi gamma / ln 1e14) until the value settles;
@@ -93,57 +93,62 @@ def _exp_excess(u):
     return np.where(np.abs(u) < 0.5, u * u * np.polyval(_EXCESS_POLY, u), np.expm1(u) - u)
 
 
+def _ln_lattice_sum(n: int, q, h: float) -> float:
+    """ln h^(n-1) (q^{*n})(0) on an even-size circle, node k h at index k mod size."""
+    s = float(q.sum())  # p = q / s has |phi| <= 1, so phi^n cannot overflow
+    y = (np.fft.rfft(q / s) ** n).real
+    return n * math.log(h * s) - math.log(h) + math.log((2.0 * y.sum() - y[0] - y[-1]) / q.size)
+
+
+@np.errstate(over="ignore")
 def fn_quadrature(n: int, lam: float, tol: float = 1e-9) -> OracleResult:
-    """ln F_n, n in {2, 3, 4}, by one tilted trapezoid convolution.
+    """ln F_n, n >= 2, as the density at 0 of a tilted sum on one periodic lattice.
 
     e^{gamma sum x} = 1 on the hyperplane, so for any gamma > 0, with
-    d = ln(gamma/lambda), u = x - d and q(u) = exp(-gamma (e^u - 1 - u)),
-    ln F_n = n (gamma d - gamma) + ln (q^{*n})(-n d).  gamma is a closed-form
-    saddle guess, so no special function is called.  On the grid u = -d + k h, cut
-    where q = tol e^-10, the trapezoid is an rfft power and a dot product; h
-    halves from min(1/4, 1/(2 sqrt gamma)) until two estimates agree within
-    tol.  err_ln = that difference + n tol e^-10 (tails) + 1e-14 (1 + |ln F|)
-    (rounding).  Raises RuntimeError when the grid needs over 2^19 nodes, and
-    ValueError where ln F_n ~ -n lambda is below -max float.
-    """
-    if not isinstance(n, (int, np.integer)) or not 2 <= n <= 4:
-        raise ValueError("fn_quadrature supports integer n in [2, 4]")
+    d = ln(gamma/lambda) and q(u) = exp(-gamma (e^u - 1 - u)), F_n is
+    e^{n (gamma d - gamma)} (int q)^n times the density at 0 of a sum of n
+    draws from q(x - d) / int q: one rfft on the nodes k h, k in [-K, K).
+    gamma takes Newton steps from a closed-form saddle guess until the lattice
+    mean mu has n mu^2 <= 1e-6 var; h halves from min(1/4, 1/(2 sqrt gamma))
+    until the step-2h estimate agrees within tol.  err_ln = that difference +
+    n tol e^-10 + 1e-14 (1 + |ln F|) + 1e-15 n.  Raises RuntimeError past the
+    2^19-node cap (``ROUTES`` stops at n = 1000, where lambda in [1e-20, 1e8]
+    stays under it), ValueError where ln F_n < -max float."""
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValueError("fn_quadrature requires integer n >= 2")
     lam = _check_lambda(lam)
     if not 1e-12 <= tol <= 1e-3:
         raise ValueError("tol must lie in [1e-12, 1e-3]")
     ln_lam = math.log(lam)
-    # the guesses of saddle.inverse_digamma; d keeps lambda e^d = gamma to
-    # rounding, as an error delta there moves ln F by about n gamma delta
+    # saddle.inverse_digamma's guesses; lambda e^d = gamma holds to rounding
     large = ln_lam >= -2.22
     gamma = lam + 0.5 if large else -1.0 / (ln_lam + np.euler_gamma)
     d = math.log1p(0.5 / lam) if large else math.log(gamma) - ln_lam
-    # the window edges solve gamma (e^u - 1 - u) = ln(1/tol) + 10 by Newton,
-    # which stays outside the roots from starts outside them: e^u - 1 - u is
-    # >= -1 - u, >= u^2/(2e) on [-1, 0], >= u^2/2 on u >= 0, >= a at ln(1 + 2a), a >= 2
-    a = (math.log(1.0 / tol) + 10.0) / gamma
-    left = -math.sqrt(2.0 * math.e * a) if 2.0 * math.e * a <= 1.0 else -1.0 - a
-    edges = np.array([left, math.log1p(2.0 * a) if a >= 2.0 else math.sqrt(2.0 * a)])
-    for _ in range(8):
-        edges -= (_exp_excess(edges) - a) / np.expm1(edges)
-    h, ln_prev = min(0.25, 0.5 / math.sqrt(gamma)), math.nan
+    m, h = math.log(1.0 / tol) + 10.0, min(0.25, 0.5 / math.sqrt(gamma))
     while True:
-        k_lo, k_hi = math.ceil((edges[0] + d) / h), math.floor((edges[1] + d) / h)
-        if k_hi - k_lo >= _MAX_NODES:
+        # half-period: reach of the sum (psi'(gamma) < 1/gamma + 1/gamma^2), left tail, pad
+        half = max(math.sqrt(2.0 * n * (1.0 / gamma + gamma**-2) * m), m / gamma + max(d, 0.0))
+        k = 1 << math.ceil(math.log2((half + 8.0 * min(gamma**-0.5, 1.0)) / h))
+        if 2 * k > _MAX_NODES:
             raise RuntimeError("quadrature did not reach the requested tolerance")
-        q = np.exp(-gamma * _exp_excess(np.arange(k_lo, k_hi + 1) * h - d))
-        # n - 1 factors, then the last; no wrap-around, and node k = 0 is at -k_lo
-        size = 1 << (n * (q.size - 1)).bit_length()
-        head = np.fft.irfft(np.fft.rfft(q, size) ** (n - 1), size)
-        conv = np.dot(head[(-n * k_lo - np.arange(q.size)) % size], q)
-        ln_i = math.log(conv) + (n - 1) * math.log(h)
-        diff = abs(ln_i - ln_prev)
+        # node i h sits at index i mod 2K; moments in units of h cannot underflow
+        i = (np.arange(2 * k) + k) % (2 * k) - k
+        q = np.exp(-gamma * _exp_excess(h * i - d))
+        mu = float(q @ i) / float(q.sum())
+        var = float(q @ (i - mu) ** 2) / float(q.sum())
+        if n * mu * mu > 1e-6 * var:
+            step = -mu / (var * h)  # Newton: d mu / d gamma = lattice variance
+            gamma, d = gamma + step, d + math.log1p(step / gamma)
+            continue
+        ln_i, ln_2h = _ln_lattice_sum(n, q, h), _ln_lattice_sum(n, q[::2], 2.0 * h)
+        diff = abs(ln_i - ln_2h)
         if diff <= tol:
             break
-        ln_prev, h = ln_i, 0.5 * h
+        h *= 0.5
     ln_f = n * (gamma * d - gamma) + ln_i
     if not math.isfinite(ln_f):
         raise ValueError(f"ln F_n is below -max float at n = {n}, lambda = {lam!r}")
-    err = diff + n * tol * math.exp(-10.0) + 1e-14 * (1.0 + abs(ln_f))
+    err = diff + n * tol * math.exp(-10.0) + 1e-14 * (1.0 + abs(ln_f)) + 1e-15 * n
     return OracleResult(LogValue(ln_f), err, Method.QUADRATURE)
 
 
@@ -228,7 +233,8 @@ def fn_contour(n: int, lam: float) -> OracleResult:
         if below.size:
             break
     else:
-        raise RuntimeError("failed to truncate the contour integrand")
+        raise RuntimeError(f"failed to truncate the contour integrand at n = {n}, "
+                           f"lambda = {lam!r}")
     T = float(candidates[below[0]])
     tail = math.exp(edges[below[0]])
 
@@ -268,6 +274,12 @@ def _ln_l_rounding(n: int, sol: SaddleSolution) -> float:
     return 1e-15 * n * (1.0 + abs(sol.ln_L) + 2.0 * sol.gamma * abs(math.log(sol.lam)))
 
 
+def _check_n_ln_l(n: int, sol: SaddleSolution) -> None:
+    """Refuse, naming n and lambda, where n ln L is not a finite double."""
+    if not math.isfinite(n * sol.ln_L):
+        raise ValueError(f"n ln L is not a finite double at n = {n}, lambda = {sol.lam!r}")
+
+
 def fn_saddle_asymptotic(n: int, lam: float) -> OracleResult:
     """Gaussian saddle-point estimate ln F_n ~ n ln L - (1/2) ln(2 pi n sigma).
 
@@ -287,6 +299,7 @@ def fn_saddle_asymptotic(n: int, lam: float) -> OracleResult:
         raise ValueError("fn_saddle_asymptotic requires integer n >= 1")
     lam = _check_lambda(lam)
     sol = solve_saddle(lam)
+    _check_n_ln_l(n, sol)
     ln_f = n * sol.ln_L - 0.5 * math.log(2.0 * math.pi * n * sol.sigma)
     psi2, psi3 = _psi2_psi3(sol.gamma)
     # sigma > 0 for every finite lambda; dividing by it twice, never by sigma^3,
@@ -316,6 +329,7 @@ def fn_montecarlo(n: int, lam: float, samples: int, seed: int) -> OracleResult:
         raise ValueError("fn_montecarlo requires samples >= 10^4")
     samples = int(samples)
     sol = solve_saddle(lam)
+    _check_n_ln_l(n, sol)
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     s = -rng.standard_gamma(n - 1.0, samples) / sol.gamma - (n - 1) * math.log(lam)
     g = np.empty(samples)
@@ -359,7 +373,7 @@ ROUTES: dict[Method, Route] = {
         1, 2, True, lambda n, lam, tol, samples, seed: (f1_exact if n == 1 else f2_exact)(lam)
     ),
     Method.QUADRATURE: Route(
-        2, 4, True, lambda n, lam, tol, samples, seed: fn_quadrature(n, lam, tol)
+        2, 1000, True, lambda n, lam, tol, samples, seed: fn_quadrature(n, lam, tol)
     ),
     Method.CONTOUR: Route(
         1, math.inf, True, lambda n, lam, tol, samples, seed: fn_contour(n, lam)

@@ -64,6 +64,11 @@ _DOMAIN = f"inverse_digamma requires finite y <= ln(max float) = {_Y_MAX:.2f}"
 _LN_L_OVERFLOW = "ln L is not a finite double at lambda = {!r}: ln Gamma(gamma) overflows"
 
 
+def _initial_guess(y: float) -> float:
+    """The Newton start of inverse_digamma at a finite y <= ln(max float)."""
+    return math.exp(y) + 0.5 if y >= _GUESS_SWITCH else -1.0 / (y + EULER_GAMMA)
+
+
 def inverse_digamma(y):
     """The unique gamma > 0 with psi(gamma) = y; accepts scalars or arrays.
 
@@ -84,10 +89,7 @@ def inverse_digamma(y):
     y = float(y)
     if not (math.isfinite(y) and y <= _Y_MAX):
         raise ValueError(f"{_DOMAIN}, got {y!r}")
-    if y >= _GUESS_SWITCH:
-        g = math.exp(y) + 0.5
-    else:
-        g = -1.0 / (y + EULER_GAMMA)
+    g = _initial_guess(y)
     lo, hi = 0.0, math.inf
     for _ in range(_NEWTON_CAP):
         r = digamma(g) - y
@@ -125,10 +127,7 @@ def _inverse_digamma_array(y):
     # the scalar route's guesses, with math.exp: np.exp can differ from it in
     # the last bit, and at large gamma that alone can move the root found
     # within the stopping tolerance
-    g = np.array([
-        math.exp(v) + 0.5 if v >= _GUESS_SWITCH else -1.0 / (v + EULER_GAMMA)
-        for v in yv.tolist()
-    ])
+    g = np.array([_initial_guess(v) for v in yv.tolist()])
     out = np.empty_like(g)
     idx = np.arange(g.size)
     lo = np.zeros_like(g)
@@ -279,7 +278,7 @@ def gamma_asymptotic_zero(lam: float) -> float:
     psi(g) = -1/g - C + zeta(2) g - zeta(3) g^2 + ...: setting
     psi(g) = ln lam gives 1/g = |ln lam| - C + zeta(2) g + O(g^2), so this
     form omits the O(g) term zeta(2) g.  Only meaningful well below
-    exp(-C) ~ 0.56; used as a Newton seed and in asymptotic tests.
+    exp(-C) ~ 0.56; the tests use it to check the saddle at small lambda.
     """
     lam = float(lam)
     if not math.isfinite(lam) or lam <= 0.0:

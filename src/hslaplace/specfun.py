@@ -20,6 +20,7 @@ integrand itself decays doubly exponentially.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -30,6 +31,9 @@ EULER_GAMMA = 0.5772156649015329
 
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 _SHIFT = 10.0
+# below 1/sqrt(max float) psi'(x) ~ 1/x^2 is not a finite double
+_TRIGAMMA_MIN = 1.0 / math.sqrt(sys.float_info.max)
+_TRIGAMMA_DOMAIN = f"trigamma requires x >= 1/sqrt(max float) = {_TRIGAMMA_MIN:.3g}, got {{!r}}"
 
 # B_2, B_4, ..., B_16 as (numerator, denominator).  The series of psi^(m),
 # m = -1 meaning ln Gamma, has the coefficients B_2k (2k+m-1)! / (2k)!; exact
@@ -140,10 +144,13 @@ def digamma(x):
 
 
 def trigamma(x):
-    """psi'(x), strictly positive on (0, inf); accepts scalars or arrays."""
+    """psi'(x) > 0 for x >= 1/sqrt(max float) ~ 7.46e-155, below which psi'(x) ~
+    1/x^2 is not a finite double (ValueError); accepts scalars or arrays."""
     if isinstance(x, (float, int)):
         x = float(x)
         _check_positive_scalar(x, "trigamma")
+        if x < _TRIGAMMA_MIN:
+            raise ValueError(_TRIGAMMA_DOMAIN.format(x))
         shift = 0.0
         while x < _SHIFT:
             shift += 1.0 / (x * x)
@@ -154,6 +161,8 @@ def trigamma(x):
             s = s * w + c
         return 1.0 / x + 0.5 * w + s * w / x + shift
     arr = _as_positive_array(x, "trigamma")
+    if np.any(arr < _TRIGAMMA_MIN):
+        raise ValueError(_TRIGAMMA_DOMAIN.format(float(arr[arr < _TRIGAMMA_MIN].flat[0])))
     z, w, ((s, shift),) = _series_array(arr, _TRIGAMMA_SERIES)
     out = 1.0 / z + 0.5 * w + s * w / z + shift
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

@@ -134,8 +134,8 @@ def test_compare_exact_routes_agree(capsys):
 @pytest.mark.parametrize("argv, refused, row", [
     ("compare --n 40 --lambda 1 --samples 5000 --seed 3",
      "refused (monte-carlo): fn_montecarlo requires samples >= 10^4\n",
-     "40,1.0000000000000000e+00,,,-7.6057313734996583e+00,,-7.6063989624689121e+00,"
-     "0.0000000000000000e+00\n"),
+     "40,1.0000000000000000e+00,,-7.6057313734996121e+00,-7.6057313734996583e+00,,"
+     "-7.6063989624689121e+00,4.6185277824406512e-14\n"),
     ("compare --n 3 --lambda 1e8 --tol 1e-2",
      "refused (quadrature): tol must lie in [1e-12, 1e-3]\n",
      "3,1.0000000000000000e+08,,,-3.0000001713211024e+08,,-3.0000001713210988e+08,"
@@ -158,7 +158,8 @@ def test_asymptotic_past_the_underflow_of_sigma_cubed(capsys):
         "3,9.9999999999999997e+199,asymptotic,-2.9999999999999540e+200,2.7661021115929166e+188"
     )
     code, out, err = run_cli(capsys, "compare", "--n", "3", "--lambda", "1e200")
-    assert (code, err) == (0, "refused (contour): failed to truncate the contour integrand\n")
+    assert (code, err) == (0, "refused (contour): failed to truncate the contour integrand "
+                              "at n = 3, lambda = 1e+200\n")
     assert out.splitlines()[1] == (
         "3,9.9999999999999997e+199,,-2.9999999999999999e+200,,,-2.9999999999999540e+200,"
         "0.0000000000000000e+00"
@@ -187,6 +188,34 @@ def test_compare_refusals_name_their_cause_at_the_top_of_lambda(capsys, n, lam):
     # quadrature with "got -inf", naming neither n nor lambda
     _, _, err = run_cli(capsys, "compare", "--n", n, "--lambda", lam, "--samples", "10000")
     assert err and "ln_value must be finite" not in err
+
+
+def test_compare_at_n40_cross_checks_two_exact_routes(capsys):
+    # before the periodic lattice the contour was the only exact cell past n = 4
+    _, out, _ = run_cli(capsys, "compare", "--n", "40", "--lambda", "1")
+    rec = dict(zip(*(line.split(",") for line in out.splitlines())))
+    claims = 0.0
+    for method in ("quadrature", "contour"):
+        _, row, _ = run_cli(capsys, "oracle", "--method", method, "--n", "40", "--lambda", "1")
+        cells = row.splitlines()[1].split(",")
+        assert cells[3] == rec[method]
+        claims += float(cells[4])
+    assert rec["closed-form"] == "" and 0.0 < float(rec["max_pairwise_dev"]) <= claims
+
+
+@pytest.mark.parametrize("argv, err", [
+    ("oracle --method asymptotic --n 1000000 --lambda 1e305",
+     "error (oracle): n ln L is not a finite double at n = 1000000, lambda = 1e+305\n"),
+    ("oracle --method monte-carlo --n 1000 --lambda 2e305 --samples 10000",
+     "error (oracle): n ln L is not a finite double at n = 1000, lambda = 2e+305\n"),
+    ("compare --n 1000000 --lambda 1e305",
+     "error (compare): every exact route refused: contour: failed to truncate the contour "
+     "integrand at n = 1000000, lambda = 1e+305\n"),
+])
+def test_refusals_name_n_and_lambda_where_n_ln_l_overflows(capsys, argv, err):
+    # these reached LogValue's bare "ln_value must be finite, got -inf", or
+    # a truncation message naming neither n nor lambda
+    assert run_cli(capsys, *argv.split()) == (1, "", err)
 
 
 def test_compare_fails_only_without_an_exact_route(capsys):
@@ -276,13 +305,20 @@ def test_bad_grid_exits_one(capsys):
 # err_est 8.7313043809550362e-04, and 3.1182869067119112e-01 at n = 3, before).
 # The asymptotic err_est takes psi'' and psi''' exactly from their series
 # instead of central differences of trigamma (3.6435617745341459e-02 before).
+# The periodic tilted lattice replaced the linear convolution of the
+# quadrature: at n = 2 its cell moved -1.4793410244157645e+00 ->
+# -1.4793410244157648e+00 (err_est 1.1559326976912734e-13 before, now with the
+# step-2h difference and the 1e-15 n rounding term) and the deviation
+# 1.1102230246251565e-15 -> 8.8817841970012523e-16; at n = 3 the cell moved
+# 3.0947544338276034e-01 -> 3.0947544338275979e-01 and the deviation
+# 9.4368957093138306e-16 -> 1.4988010832439613e-15.
 GOLDEN = [
     ("oracle --method closed-form --n 2 --lambda 1",
      "n,lambda,method,ln_F,err_est\n"
      "2,1.0000000000000000e+00,closed-form,-1.4793410244157648e+00,1.0000000000000000e-10\n"),
     ("oracle --method quadrature --n 2 --lambda 1",
      "n,lambda,method,ln_F,err_est\n"
-     "2,1.0000000000000000e+00,quadrature,-1.4793410244157645e+00,1.1559326976912734e-13\n"),
+     "2,1.0000000000000000e+00,quadrature,-1.4793410244157648e+00,1.1759326976912736e-13\n"),
     ("oracle --method contour --n 2 --lambda 1",
      "n,lambda,method,ln_F,err_est\n"
      "2,1.0000000000000000e+00,contour,-1.4793410244157656e+00,2.5443751122522321e-12\n"),
@@ -294,12 +330,12 @@ GOLDEN = [
      "2,1.0000000000000000e+00,monte-carlo,-1.4826168743758528e+00,3.2125650769621217e-03\n"),
     ("compare --n 2 --lambda 1",
      "n,lambda,closed-form,quadrature,contour,monte-carlo,asymptotic,max_pairwise_dev\n"
-     "2,1.0000000000000000e+00,-1.4793410244157648e+00,-1.4793410244157645e+00,"
-     "-1.4793410244157656e+00,,-1.4920537853295990e+00,1.1102230246251565e-15\n"),
+     "2,1.0000000000000000e+00,-1.4793410244157648e+00,-1.4793410244157648e+00,"
+     "-1.4793410244157656e+00,,-1.4920537853295990e+00,8.8817841970012523e-16\n"),
     ("compare --n 3 --lambda 0.5 --samples 20000 --seed 3",
      "n,lambda,closed-form,quadrature,contour,monte-carlo,asymptotic,max_pairwise_dev\n"
-     "3,5.0000000000000000e-01,,3.0947544338276034e-01,3.0947544338276128e-01,"
-     "3.1184150470565286e-01,2.9940754186781393e-01,9.4368957093138306e-16\n"),
+     "3,5.0000000000000000e-01,,3.0947544338275979e-01,3.0947544338276128e-01,"
+     "3.1184150470565286e-01,2.9940754186781393e-01,1.4988010832439613e-15\n"),
     ("ensemble --f 1,2,3 --epsilon 0.02 --n-grid 5,10,20",
      "n,lambda_eff,ln_dn_per_n,regime,ln_psi_theta\n"
      "5,1.8171205928321394e+00,-1.5026061269302200e+00,vanishes,-5.9725315640935162e-01\n"

@@ -106,19 +106,20 @@ class TestLaplaceDn:
         spec = HypersphereSpec(n=3, r=1.0, f=(1.0, 1.0, 1.0))
         with pytest.raises(ValueError):
             laplace_dn(spec, method="closed-form")
-        spec5 = HypersphereSpec(n=5, r=1.0, f=(1.0,) * 5)
+        # the quadrature covers n <= 1000
+        spec_big = HypersphereSpec(n=1001, r=1.0, f=(1.0,) * 1001)
         with pytest.raises(ValueError):
-            laplace_dn(spec5, method="quadrature")
+            laplace_dn(spec_big, method="quadrature")
         with pytest.raises(ValueError):
-            laplace_dn(spec5, method="no-such-route")
+            laplace_dn(spec_big, method="no-such-route")
         # one refusal text per route, whichever entry point is used
         spec1 = HypersphereSpec(n=1, r=1.0, f=(1.0,))
         for sp, method in (
             (spec, "closed-form"),
-            (spec5, "quadrature"),
+            (spec_big, "quadrature"),
             (spec1, "quadrature"),
             (spec1, "monte-carlo"),
-            (spec5, "no-such-route"),
+            (spec_big, "no-such-route"),
         ):
             with pytest.raises(ValueError) as via_dn:
                 laplace_dn(sp, method=method)

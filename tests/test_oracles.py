@@ -136,7 +136,9 @@ class TestContour:
     def test_cross_check_keeps_the_closed_form_when_truncation_fails(self):
         results, refusals, max_dev = cross_check(1, 1e90)
         assert list(results) == [Method.CLOSED_FORM, Method.ASYMPTOTIC]
-        assert refusals == {Method.CONTOUR: "failed to truncate the contour integrand"}
+        assert refusals == {
+            Method.CONTOUR: "failed to truncate the contour integrand at n = 1, lambda = 1e+90"
+        }
         assert max_dev == 0.0
 
     @pytest.mark.parametrize("lam", [10**13.5, 10**14.5])
@@ -242,8 +244,17 @@ class TestQuadrature:
 
         monkeypatch.setattr(hslaplace.oracles, "solve_saddle", broken)
         monkeypatch.setattr(hslaplace.oracles, "ln_gamma_complex", broken)
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 40):
             assert math.isfinite(fn_quadrature(n, 0.7).value.ln_value)
+
+    def test_the_node_cap_first_binds_past_n_max(self):
+        # ROUTES stops at the largest power of ten where no lambda in [1e-20, 1e8]
+        # needs more than 2^19 nodes; lambda = 1e-20 needs the most
+        n_max = ROUTES[Method.QUADRATURE].n_max
+        assert n_max == 1000
+        assert math.isfinite(fn_quadrature(n_max, 1e-20).value.ln_value)
+        with pytest.raises(RuntimeError, match="quadrature did not reach the requested tolerance"):
+            fn_quadrature(10 * n_max, 1e-20)
 
     def test_refuses_past_the_node_cap(self, monkeypatch):
         monkeypatch.setattr(hslaplace.oracles, "_MAX_NODES", 100)
@@ -261,7 +272,7 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             fn_quadrature(1, 1.0)
         with pytest.raises(ValueError):
-            fn_quadrature(5, 1.0)
+            fn_quadrature(2.0, 1.0)
         with pytest.raises(ValueError):
             fn_quadrature(2, 1.0, tol=1e-2)
         with pytest.raises(ValueError):
@@ -287,6 +298,14 @@ class TestQuadratureErrorContract:
     def test_claim_covers_the_contour(self, n, exponent, tol):
         lam = 10.0**exponent
         q, c = fn_quadrature(n, lam, tol), fn_contour(n, lam)
+        assert abs(q.value.ln_value - c.value.ln_value) <= q.err_ln + c.err_ln
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=5, max_value=1000), st.floats(min_value=-20.0, max_value=8.0))
+    def test_claim_covers_the_contour_past_n4(self, n, exponent):
+        # n = 5 .. n_max, where the quadrature is the contour's only exact cross-check
+        lam = 10.0**exponent
+        q, c = fn_quadrature(n, lam), fn_contour(n, lam)
         assert abs(q.value.ln_value - c.value.ln_value) <= q.err_ln + c.err_ln
 
     def test_claim_covers_the_contour_on_a_grid(self):
@@ -451,6 +470,18 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak < 10 * samples * 8
 
+    @pytest.mark.parametrize("n, lam", [(10**6, 1e305), (1000, 2e305)])
+    def test_saddle_routes_refuse_where_n_ln_l_overflows(self, n, lam):
+        # ln L is finite here but n ln L is not; both routes raised LogValue's
+        # bare "ln_value must be finite, got -inf"
+        message = re.escape(f"n ln L is not a finite double at n = {n}, lambda = {lam!r}")
+        for call in (lambda: fn_montecarlo(n, lam, 10_000, seed=1),
+                     lambda: fn_saddle_asymptotic(n, lam)):
+            with pytest.raises(ValueError, match=message):
+                call()
+        with pytest.raises(RuntimeError, match=re.escape(f"at n = {n}, lambda = {lam!r}")):
+            fn_contour(n, lam)
+
     def test_saddle_routes_refuse_where_ln_l_overflows(self):
         # both failed with "ln_value must be finite, got nan", naming nothing
         for call in (lambda: fn_montecarlo(2, 5e307, 10_000, seed=0),
@@ -518,7 +549,8 @@ class TestRouteTable:
         results, refusals, _ = cross_check(2, 1.0)
         assert list(results) == [Method.CLOSED_FORM, Method.QUADRATURE, Method.ASYMPTOTIC]
         assert refusals == {Method.CONTOUR: "no value here"}
+        # past the quadrature's n_max the contour is the only exact route
         with pytest.raises(ValueError, match="every exact route refused: contour: no value here"):
-            cross_check(5, 1.0)
+            cross_check(1001, 1.0)
         with pytest.raises(ValueError, match="lambda must be a finite positive real"):
             cross_check(2, -1.0)

@@ -6,6 +6,8 @@ so they share no code with the package kernel.
 """
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -127,6 +129,20 @@ class TestTrigamma:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             trigamma(-0.5)
+
+    def test_refuses_where_the_value_is_not_a_finite_double(self):
+        # psi'(x) ~ 1/x^2 passes the largest double below x = 1/sqrt(max float):
+        # the scalar route returned inf and raised ZeroDivisionError below ~2e-162,
+        # the array route returned inf with a RuntimeWarning
+        x_min = 1.0 / math.sqrt(sys.float_info.max)
+        assert math.isfinite(trigamma(x_min)) and np.isfinite(trigamma(np.array([x_min])))[0]
+        below = math.nextafter(x_min, 0.0)
+        for x in (below, 1e-155, 1e-200, 5e-324):
+            message = f"trigamma requires x >= 1/sqrt(max float) = 7.46e-155, got {x!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                trigamma(x)
+            with pytest.raises(ValueError, match=re.escape(f"got {x!r}")):
+                trigamma(np.array([1.0, x]))
 
 
 class TestDerivativeConsistency:
