@@ -63,6 +63,8 @@ class GrandEnsembleSpec:
             raise ValueError("f and weights must be nonempty and of equal length")
         if any(not math.isfinite(v) or v <= 0.0 for v in self.f):
             raise ValueError("all entries of f must be positive reals")
+        if not all(math.isfinite(w) for w in self.weights):
+            raise ValueError(f"weights must be finite, got {self.weights}")
         if any(w < 0.0 for w in self.weights):
             raise ValueError("weights must be nonnegative")
         if abs(math.fsum(self.weights) - 1.0) > 1e-12:

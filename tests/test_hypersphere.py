@@ -1,6 +1,7 @@
 """Measure-level layer: D_n, regimes, unit crossings, the ensemble exhibit."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -240,6 +241,14 @@ class TestPsiTheta:
             GrandEnsembleSpec(theta=1.0, f=(1.0, -2.0), weights=(0.5, 0.5))
         with pytest.raises(ValueError):
             GrandEnsembleSpec(theta=-1.0, f=(1.0, 2.0), weights=(0.5, 0.5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        # w < 0 and |fsum - 1| > 1e-12 are both False for NaN, so a NaN weight
+        # passed and psi_theta failed later with LogValue's bare message
+        message = re.escape(f"weights must be finite, got (1.0, {bad})")
+        with pytest.raises(ValueError, match=message):
+            GrandEnsembleSpec(theta=1.0, f=(1.0, 2.0), weights=(1.0, bad))
 
 
 class TestEnsembleComparison:

@@ -63,6 +63,16 @@ MC_GRID = [
     for lam in (1e-20, 1e-12, 1e-3, 0.01, 1.0, 50.0, 5000.0, 1e8)
 ] + [(6, 5000.0), (1000, 1.0)]
 
+# fn_montecarlo(n, lambda, 20_000, seed): hex of (ln_value, err_ln), pinned
+# before the weight chain was rewritten in place
+MC_PINNED = [
+    (2, 1e-3, 1, "0x1.4512e9415b516p+1", "0x1.3497dfc5eaf15p-8"),
+    (2, 100.0, 2, "-0x1.93739a2c01c83p+7", "0x1.695124744fcbcp-9"),
+    (3, 1e-20, 3, "0x1.2458cc75c3fedp+3", "0x1.cc28e902b5e7ep-8"),
+    (40, 0.0944, 4, "0x1.073e8d5e681d0p+6", "0x1.fceb63802a302p-7"),
+    (8, 1e8, 5, "-0x1.7d7841d8b38f5p+29", "0x1.e30c7f7d02b1dp-8"),
+]
+
 
 def _deviation(value, exact):
     """|value - exact| for a double and a decimal string, without rounding exact."""
@@ -221,6 +231,32 @@ class TestContourNodes:
     def test_auto_mode_stays_under_the_cap(self, calls):
         fn_contour(1, 1e-20)
         assert sum(size for _, size in calls) <= 16_001
+
+
+def _exp_excess_reference(u):
+    """The np.where / np.polyval form that _exp_excess must match bit for bit."""
+    poly = hslaplace.oracles._EXCESS_POLY
+    with np.errstate(over="ignore"):
+        return np.where(np.abs(u) < 0.5, u * u * np.polyval(poly, u), np.expm1(u) - u)
+
+
+class TestExpExcess:
+    EDGES = [0.0, -0.0, 5e-324, 1e-8, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0),
+             1.0, 30.0]
+
+    @pytest.mark.parametrize("u", [
+        np.array(EDGES + [-v for v in EDGES] + [709.8, 710.0, -1e4]),
+        np.random.default_rng(11).standard_normal(4000)
+        * np.repeat([1e-6, 0.1, 0.5, 1.0, 10.0, 300.0, 1e4, 1e6], 500),
+        np.empty(0),
+    ], ids=["edges", "normal-corpus", "empty"])
+    def test_bit_identical_to_the_polyval_form(self, u):
+        before = u.tobytes()
+        with np.errstate(over="ignore"):
+            got = hslaplace.oracles._exp_excess(u)
+        assert u.tobytes() == before
+        assert got.shape == u.shape
+        assert got.tobytes() == _exp_excess_reference(u).tobytes()
 
 
 class TestQuadrature:
@@ -443,6 +479,11 @@ class TestMonteCarlo:
         assert a.value.ln_value == b.value.ln_value
         assert a.err_ln == b.err_ln
 
+    @pytest.mark.parametrize("n, lam, seed, ln_f, err_ln", MC_PINNED)
+    def test_seeded_bits_are_pinned(self, n, lam, seed, ln_f, err_ln):
+        res = fn_montecarlo(n, lam, 20_000, seed=seed)
+        assert (res.value.ln_value.hex(), res.err_ln.hex()) == (ln_f, err_ln)
+
     def test_different_seeds_differ(self):
         a = fn_montecarlo(3, 0.7, 20_000, seed=1)
         b = fn_montecarlo(3, 0.7, 20_000, seed=2)
@@ -460,15 +501,17 @@ class TestMonteCarlo:
         assert abs(res.value.ln_value - q.value.ln_value) <= res.err_ln + q.err_ln
 
     def test_memory_is_linear_in_samples(self):
-        # the Gaussian proposal held several (samples x n) arrays: 96 MB here
+        # the Gaussian proposal held several (samples x n) arrays: 96 MB at
+        # n = 200; at n = 2, lambda = 100 every |u| < 1/2 takes the Taylor branch
         samples = 20_000
-        tracemalloc.start()
-        try:
-            fn_montecarlo(200, 1.0, samples, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 10 * samples * 8
+        for n, lam in ((200, 1.0), (2, 100.0)):
+            tracemalloc.start()
+            try:
+                fn_montecarlo(n, lam, samples, seed=3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 10 * samples * 8, (n, lam)
 
     @pytest.mark.parametrize("n, lam", [(10**6, 1e305), (1000, 2e305)])
     def test_saddle_routes_refuse_where_n_ln_l_overflows(self, n, lam):
