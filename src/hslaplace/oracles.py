@@ -228,7 +228,13 @@ def fn_contour(n: int, lam: float) -> OracleResult:
         """Re exp(n (phi(t) - phi(0))) at the nodes t; overflow is refused by ln_sum."""
         z = gamma + 1j * t
         with np.errstate(over="ignore"):
-            return np.exp(n * (ln_gamma_complex(z) - z * ln_lam - phi0)).real
+            # exp(n (ln Gamma(z) - z ln lambda - phi(0))), in place
+            v = ln_gamma_complex(z)
+            z *= ln_lam
+            v -= z
+            v -= phi0
+            v *= n
+            return np.exp(v, out=v).real
 
     def ln_sum(acc, h):
         """ln (acc h), refusing a trapezoid sum that is not finite and positive."""
@@ -259,19 +265,23 @@ def fn_contour(n: int, lam: float) -> OracleResult:
         _MAX_INTERVALS // 2,
     )
     h = T / m
-    u = integrand(np.arange(m + 1) * h)
+    # the m + 1 nodes of the first level and its m midpoints in one call: the
+    # loop below always halves at least once
+    u = integrand(np.concatenate((np.arange(m + 1) * h, (np.arange(m) + 0.5) * h)))
     # trapezoid on [-T, T] by symmetry: u(0) + u(T) + 2 sum of the interior nodes
-    acc = float(u[0] + u[-1] + 2.0 * np.sum(u[1:-1]))
+    acc = float(u[0] + u[m] + 2.0 * np.sum(u[1:m]))
     ln_s = ln_sum(acc, h)
     tol = 1e-13 * (1.0 + abs(n * phi0)) + 1e-15 * n * (1.0 + abs(phi0) + gamma * abs(ln_lam))
+    mid = u[m + 1:]
     while True:
-        acc += 2.0 * float(np.sum(integrand((np.arange(m) + 0.5) * h)))
+        acc += 2.0 * float(np.sum(mid))
         h *= 0.5
         m *= 2
         ln_new = ln_sum(acc, h)
         diff, ln_s = abs(ln_new - ln_s), ln_new
         if diff <= tol or 2 * m > _MAX_INTERVALS:
             break
+        mid = integrand((np.arange(m) + 0.5) * h)
     ln_f = n * phi0 - math.log(2.0 * math.pi) + ln_s
     err = diff + math.exp(-2.0 * math.pi * gamma / h) + 10.0 * tail + 1e-12 * (1.0 + abs(ln_f))
     return OracleResult(LogValue(ln_f), err, Method.CONTOUR)

@@ -109,8 +109,10 @@ def inverse_digamma(y):
     raise RuntimeError(f"inverse_digamma failed to converge at y={y!r}")
 
 
-# Above x ~ 1e154 the kernels' z * z overflows to inf, which only zeroes
-# w = 1/z^2 in the series (the scalar path does the same silently).
+# Near y = 709.78 the root g ~ e^y is close to max float, where the step
+# r / psi1 and the fallbacks 2 lo and lo + hi (np.where evaluates both
+# branches for every element) can overflow; an infinite step fails the
+# bracket test.
 @np.errstate(over="ignore")
 def _inverse_digamma_array(y):
     """inverse_digamma over an array: one Newton pass over every element.

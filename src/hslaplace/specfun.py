@@ -66,23 +66,45 @@ def _series_array(z, *series):
     Steps every element of the flattened copy of z up by one until
     Re z >= _SHIFT and, for each (coeffs, term) pair in series, sums term(z)
     over the steps and Horner-sums coeffs in w = 1/z^2.  Returns the shifted
-    z, w and one (series sum, shift sum) pair per entry of series.
+    z, w and one (series sum, shift sum) pair per entry of series, flat and
+    in the order of z.
+
+    The copy is ordered by shift count k, most first (a stable sort, skipped
+    when k is already non-increasing, as on a vertical line or an ascending
+    grid), so that the elements still to shift at step j are a prefix; the
+    order is undone once after the last step.  Each element goes through the
+    same operations as in an element-by-element loop.
     """
-    z = z.reshape(-1).copy()
+    z = z.reshape(-1)
     k = np.maximum(0, np.ceil(_SHIFT - z.real)).astype(int)
+    order = None
+    if np.all(k[:-1] >= k[1:]):
+        z = z.copy()
+    else:
+        order = np.argsort(-k, kind="stable")
+        z, k = z[order], k[order]
     shifts = [np.zeros_like(z) for _ in series]
-    for j in range(int(k.max(initial=0))):
-        m = j < k
-        zm = z[m]
+    # the number of elements with k > j, for every step j
+    counts = np.searchsorted(-k, -np.arange(k[0] if k.size else 0), side="left")
+    for c in counts.tolist():
+        zc = z[:c]
         for shift, (_, term) in zip(shifts, series):
-            shift[m] += term(zm)
-        z[m] = zm + 1.0
-    w = 1.0 / (z * z)
+            shift[:c] += term(zc)
+        zc += 1.0
+    if order is not None:
+        undo = np.empty_like(order)
+        undo[order] = np.arange(order.size)
+        z = z[undo]
+        shifts = [shift[undo] for shift in shifts]
+    # above |z| ~ 1.34e154 z * z overflows; for real z that only zeroes w
+    with np.errstate(over="ignore"):
+        w = 1.0 / (z * z)
     sums = []
     for (coeffs, _), shift in zip(series, shifts):
         s = np.full_like(z, coeffs[-1])
         for c in coeffs[-2::-1]:
-            s = s * w + c
+            s *= w
+            s += c
         sums.append((s, shift))
     return z, w, sums
 
@@ -196,7 +218,14 @@ def ln_gamma_complex(z):
     if not np.all(np.isfinite(arr)) or np.any(arr.real <= 0.0):
         raise ValueError("ln_gamma_complex requires finite arguments with Re z > 0")
     zz, _, ((s, shift),) = _series_array(arr, (_LNGAMMA_COEFF, np.log))
-    out = (zz - 0.5) * np.log(zz) - zz + _HALF_LN_2PI + s / zz - shift
+    # (zz - 0.5) ln zz - zz + ln sqrt(2 pi) + s / zz - shift, left to right
+    out = zz - 0.5
+    out *= np.log(zz)
+    out -= zz
+    out += _HALF_LN_2PI
+    s /= zz
+    out += s
+    out -= shift
     return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 

@@ -74,6 +74,18 @@ MC_PINNED = [
 ]
 
 
+# fn_contour(n, lambda): hex of (ln_value, err_ln), pinned before the first
+# level's nodes and midpoints went into one ln Gamma call
+CONTOUR_PINNED = [
+    (1, 1e-20, "-0x1.8000000000000p-49", "0x1.1293e0ef242aep-35"),
+    (2, 1.0, "-0x1.7ab617e77f31ap+0", "0x1.6616c642f94c0p-39"),
+    (40, 1.0, "-0x1.e6c44d85d5e68p+2", "0x1.30da8986e5a0ap-37"),
+    (3, 1e8, "-0x1.1e1a31121d1fap+28", "0x1.3a93e569a6e9ep-12"),
+    (1000, 0.05, "0x1.ee640c80ff713p+10", "0x1.1000b18caf3d7p-29"),
+    (100_000, 0.918, "-0x1.22aa8bca95512p+4", "0x1.acbbb70e53956p-34"),
+]
+
+
 def _deviation(value, exact):
     """|value - exact| for a double and a decimal string, without rounding exact."""
     return float(abs(Decimal(value) - Decimal(exact)))
@@ -208,6 +220,12 @@ class TestContourErrorContract:
             assert abs(q.value.ln_value - c.value.ln_value) <= q.err_ln + c.err_ln, (n, lam)
 
 
+@pytest.mark.parametrize("n, lam, ln_f, err_ln", CONTOUR_PINNED)
+def test_contour_bits_are_pinned(n, lam, ln_f, err_ln):
+    res = fn_contour(n, lam)
+    assert (res.value.ln_value.hex(), res.err_ln.hex()) == (ln_f, err_ln)
+
+
 class TestContourNodes:
     """How many ln Gamma nodes the contour route evaluates."""
 
@@ -227,6 +245,13 @@ class TestContourNodes:
         fn_contour(40, 1.0)
         assert all(ndim == 1 for ndim, _ in calls)
         assert sum(size for _, size in calls) <= 300
+
+    def test_two_array_calls_at_n40(self, calls):
+        # one batch of 25 candidate edges, then the first level's 51 nodes
+        # and its 50 midpoints together
+        fn_contour(40, 1.0)
+        assert calls == [(1, 25), (1, 101)]
+        assert sum(size for _, size in calls) == 126
 
     def test_auto_mode_stays_under_the_cap(self, calls):
         fn_contour(1, 1e-20)

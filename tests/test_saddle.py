@@ -34,6 +34,14 @@ GAMMA_CR = 1.3766109186462146          # root of ln Gamma(g) = g psi(g)
 LAMBDA_CR = 0.9179235347379753         # exp(psi(GAMMA_CR))
 INV_DIGAMMA_LN_001 = 0.22971839846991753  # inverse digamma of ln(0.01)
 
+# tabulate(np.logspace(-8, 6, 200)): index and hex of (gamma, ln_L, sigma),
+# pinned before the array kernel's shift loop moved to prefix slices
+TABULATE_PINNED = [
+    (0, "0x1.c8d89d3b05c71p-5", "0x1.f12b82dbf7f60p+1", "0x1.43105edb63ddcp+8"),
+    (117, "0x1.16ed28f672504p+1", "-0x1.12faedbf91823p+0", "0x1.28cf693b891f1p-1"),
+    (199, "0x1.e8480fffffffcp+19", "-0x1.e848bfa4631a0p+19", "0x1.0c6f7a0b5ec06p-20"),
+]
+
 
 def _bisect_digamma(y, lo, hi, tol=1e-13):
     """Independent bisection oracle for the inverse of psi."""
@@ -262,6 +270,12 @@ class TestTabulate:
         ln_ls = [r.ln_L for r in rows]
         assert all(b > a for a, b in zip(gammas, gammas[1:]))
         assert all(b < a for a, b in zip(ln_ls, ln_ls[1:]))
+
+    def test_bits_are_pinned(self):
+        rows = tabulate(np.logspace(-8, 6, 200))
+        got = [(i, rows[i].gamma.hex(), rows[i].ln_L.hex(), rows[i].sigma.hex())
+               for i, *_ in TABULATE_PINNED]
+        assert got == TABULATE_PINNED
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):

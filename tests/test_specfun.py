@@ -304,3 +304,77 @@ def test_psi2_psi3_against_mpmath(x, psi2, psi3):
     got2, got3 = specfun._psi2_psi3(x)
     assert abs(got2 - float(psi2)) <= 1e-13 * abs(float(psi2))
     assert abs(got3 - float(psi3)) <= 1e-13 * abs(float(psi3))
+
+
+def _series_array_reference(z, *series):
+    """The boolean-mask shift loop that _series_array must match bit for bit."""
+    z = z.reshape(-1).copy()
+    k = np.maximum(0, np.ceil(specfun._SHIFT - z.real)).astype(int)
+    shifts = [np.zeros_like(z) for _ in series]
+    for j in range(int(k.max(initial=0))):
+        m = j < k
+        zm = z[m]
+        for shift, (_, term) in zip(shifts, series):
+            shift[m] += term(zm)
+        z[m] = zm + 1.0
+    with np.errstate(over="ignore"):
+        w = 1.0 / (z * z)
+    sums = []
+    for (coeffs, _), shift in zip(series, shifts):
+        s = np.full_like(z, coeffs[-1])
+        for c in coeffs[-2::-1]:
+            s = s * w + c
+        sums.append((s, shift))
+    return z, w, sums
+
+
+_LNGAMMA_SERIES = (specfun._LNGAMMA_COEFF, np.log)
+_RNG = np.random.default_rng(13)
+
+
+class TestSeriesArray:
+    """The prefix-slice shift loop against the boolean-mask form, bit for bit."""
+
+    @pytest.mark.parametrize("z", [
+        # every shift count from 0 to 10, interleaved and unsorted
+        _RNG.permutation(np.concatenate([_RNG.uniform(lo, lo + 1.0, 7)
+                                         for lo in [1e-9, *range(10)]])),
+        _RNG.uniform(10.0, 1e6, 50),
+        np.array([3.0, 3.5, 0.25, 1e-150, 12.0, 7.0, 1e200]),
+        np.linspace(0.01, 30.0, 64),
+        np.full(1, 0.5),
+        1.3766 + 1j * np.linspace(0.0, 300.0, 101),
+        _RNG.uniform(1e-3, 15.0, 40) + 1j * _RNG.standard_normal(40),
+        _RNG.uniform(1e-3, 15.0, (3, 4)),
+        _RNG.uniform(1e-3, 15.0, (2, 3)) + 1j * _RNG.uniform(-5.0, 5.0, (2, 3)),
+        np.empty(0),
+        np.empty(0, dtype=complex),
+        np.array(2.5),
+        np.array(0.7 + 4j),
+    ], ids=["k-0-to-10-unsorted", "no-shift", "mixed", "ascending", "one",
+            "vertical-line", "mixed-real-parts", "2-d", "2-d-complex", "empty",
+            "empty-complex", "0-d", "0-d-complex"])
+    @pytest.mark.parametrize("series", [
+        (_LNGAMMA_SERIES,),
+        (specfun._DIGAMMA_SERIES, specfun._TRIGAMMA_SERIES),
+    ], ids=["one-series", "two-series"])
+    def test_bit_identical_to_the_mask_loop(self, z, series):
+        before = z.tobytes()
+        got_z, got_w, got_sums = specfun._series_array(z, *series)
+        assert z.tobytes() == before
+        ref_z, ref_w, ref_sums = _series_array_reference(z, *series)
+        assert got_z.tobytes() == ref_z.tobytes()
+        assert got_w.tobytes() == ref_w.tobytes()
+        assert len(got_sums) == len(ref_sums) == len(series)
+        for (s, shift), (ref_s, ref_shift) in zip(got_sums, ref_sums):
+            assert s.tobytes() == ref_s.tobytes()
+            assert shift.tobytes() == ref_shift.tobytes()
+
+
+@pytest.mark.parametrize("x", [1.34e154, 1e155, 1e200, 1e300])
+def test_array_kernels_match_the_scalar_path_where_z_squared_overflows(x):
+    # z * z overflowed to inf with a RuntimeWarning on the array path only
+    for f in (ln_gamma, digamma, trigamma):
+        assert f(np.array([x]))[0].hex() == f(x).hex()
+    got = ln_gamma_complex(np.array([complex(x, 1.0)]))[0]
+    assert got == ln_gamma_complex(complex(x, 1.0)) and np.isfinite(got)
