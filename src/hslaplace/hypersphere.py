@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logvalue import LogValue
-from .oracles import Method, OracleResult, evaluate, fn_contour
+from .oracles import Method, OracleResult, evaluate, fn_contour, fn_saddle_asymptotic
 from .saddle import critical_point
 
 
@@ -152,36 +152,30 @@ def classify_regime(lambda_eff: float, epsilon: float) -> RegimeReport:
     return RegimeReport(lambda_eff=lambda_eff, regime=regime, margin=margin)
 
 
-def unit_crossing(n: int, residual_tol: float = 1e-10) -> float:
-    """The lambda_n with F_n(lambda_n) = 1, by safeguarded secant on the contour oracle.
+def _secant(g_tol, u: float, slope: float, u_cr: float) -> tuple[float, float]:
+    """Safeguarded secant for the root of a decreasing g(u), from u with a first slope.
 
-    The iteration runs in u = ln lambda on g(u) = ln F_n(e^u).  g is strictly
-    decreasing, so every contour value narrows a bracket [lo, hi] with
-    g(lo) > 0 > g(hi).  It starts at lambda_cr; the first step uses the
-    saddle slope dg/du ~ -n gamma_cr, which needs no contour call, and each
-    later step is the secant through the last two contour values.
+    ``g_tol(u)`` returns (g(u), tol).  Every value narrows a bracket [lo, hi]
+    with g(lo) > 0 > g(hi).  The first step is -g / slope; each later step is
+    the secant through the last two values.  A step that leaves the bracket,
+    or a secant with no slope, is replaced by the bracket's midpoint.  While
+    one side of the bracket has no known sign yet, such a step goes to that
+    side's end of [0.3, 3] * e^u_cr instead; an end with the wrong sign is
+    moved out by a factor 2, up to ten times before giving up with
+    RuntimeError.
 
-    Safeguard: a step that leaves the bracket, or a secant with no slope, is
-    replaced by the bracket's midpoint.  While one side of the bracket has no
-    known sign yet, such a step goes to that side's end of
-    [0.3, 3] * lambda_cr instead; an end with the wrong sign is moved out by
-    a factor 2, up to ten times before giving up with RuntimeError.
-
-    Returns the first evaluated lambda with |ln F_n(lambda)| < residual_tol.
+    Returns (u, slope): the first u with |g(u)| < tol and the last secant
+    slope.  Once both signs are known and lo, hi are adjacent doubles, the
+    end with the smaller |g| is returned instead, since no u lies between.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError("unit_crossing requires integer n >= 2")
-    cp = critical_point()
-    u = math.log(cp.lambda_cr)
-    lo, hi = u + math.log(0.3), u + math.log(3.0)
-    lo_known = hi_known = False
+    lo, hi = u_cr + math.log(0.3), u_cr + math.log(3.0)
+    g_lo = g_hi = None
     widenings = 0
     u_prev = g_prev = None
     for _ in range(200):
-        lam = math.exp(u)
-        g = fn_contour(n, lam).value.ln_value
-        if abs(g) < residual_tol:
-            return lam
+        g, tol = g_tol(u)
+        if abs(g) < tol:
+            return u, slope
         if (g > 0.0 and u == hi) or (g < 0.0 and u == lo):
             # an end of the bracket with the wrong sign: the root lies beyond it
             if widenings >= 10:
@@ -192,25 +186,58 @@ def unit_crossing(n: int, residual_tol: float = 1e-10) -> float:
             else:
                 lo -= math.log(2.0)
         if g > 0.0:
-            lo, lo_known = u, True
+            lo, g_lo = u, g
         else:
-            hi, hi_known = u, True
-        if u_prev is None:
-            step = g / (n * cp.gamma_cr)
-        elif g != g_prev:
-            step = -g * (u - u_prev) / (g - g_prev)
-        else:
-            step = math.nan
+            hi, g_hi = u, g
+        if g_lo is not None and g_hi is not None and not lo < 0.5 * (lo + hi) < hi:
+            # rounding in g is larger than its change over one ulp of u
+            return (lo, slope) if abs(g_lo) < abs(g_hi) else (hi, slope)
+        if u_prev is not None:
+            slope = (g - g_prev) / (u - u_prev) if g != g_prev else math.nan
         u_prev, g_prev = u, g
-        u += step
+        u -= g / slope
         if not lo < u < hi:
-            if not lo_known:
+            if g_lo is None:
                 u = lo
-            elif not hi_known:
+            elif g_hi is None:
                 u = hi
             else:
                 u = 0.5 * (lo + hi)
     raise RuntimeError("unit_crossing stalled")  # pragma: no cover
+
+
+def unit_crossing(n: int, residual_tol: float = 1e-10) -> float:
+    """The lambda_n with F_n(lambda_n) = 1, by safeguarded secant in u = ln lambda.
+
+    g(u) = ln F_n(e^u) is strictly decreasing.  The secant (``_secant``)
+    runs twice, on a fresh bracket [0.3, 3] * lambda_cr each time:
+
+    1. on the saddle-point form ``fn_saddle_asymptotic``, from lambda_cr with
+       the saddle slope dg/du ~ -n gamma_cr, until |g| is below that
+       route's own err_ln.  This makes no contour call.
+    2. on the contour oracle, from phase 1's u with its last secant slope,
+       until |g| < residual_tol.
+
+    Returns the first contour-evaluated lambda with |ln F_n(lambda)| <
+    residual_tol or, where the contour's rounding over one ulp of lambda
+    exceeds residual_tol (n of a few 1e5 and up) and the bracket closes on
+    two adjacent doubles, the one of the two with the smaller |ln F_n|.
+    """
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValueError("unit_crossing requires integer n >= 2")
+    cp = critical_point()
+    u_cr = math.log(cp.lambda_cr)
+
+    def saddle(u):
+        r = fn_saddle_asymptotic(n, math.exp(u))
+        return r.value.ln_value, r.err_ln
+
+    def contour(u):
+        return fn_contour(n, math.exp(u)).value.ln_value, residual_tol
+
+    u, slope = _secant(saddle, u_cr, -n * cp.gamma_cr, u_cr)
+    u, _ = _secant(contour, u, slope, u_cr)
+    return math.exp(u)
 
 
 def psi_theta(spec: GrandEnsembleSpec) -> LogValue:

@@ -96,9 +96,12 @@ def _series_array(z, *series):
         undo[order] = np.arange(order.size)
         z = z[undo]
         shifts = [shift[undo] for shift in shifts]
-    # above |z| ~ 1.34e154 z * z overflows; for real z that only zeroes w
-    with np.errstate(over="ignore"):
-        w = 1.0 / (z * z)
+    # above |z| ~ 1.34e154 z * z overflows (to inf - inf = nan where Re z and
+    # |Im z| both do); there |w| < 5.6e-309 is below every term's last bit
+    with np.errstate(over="ignore", invalid="ignore"):
+        z2 = z * z
+        w = 1.0 / z2
+    w[~np.isfinite(z2)] = 0.0
     sums = []
     for (coeffs, _), shift in zip(series, shifts):
         s = np.full_like(z, coeffs[-1])

@@ -18,6 +18,8 @@ from hslaplace import (
     evaluate,
     f2_exact,
     fn_contour,
+    fn_quadrature,
+    fn_saddle_asymptotic,
     geometric_mean,
     laplace_dn,
     psi_theta,
@@ -170,8 +172,40 @@ class TestUnitCrossing:
             lam_n = unit_crossing(n)
             assert abs(fn_contour(n, lam_n).value.ln_value) < 1e-9
 
-    @pytest.mark.parametrize("n", [2, 5, 40, 10000])
+    # contour calls per crossing: the saddle-point run leaves 1-3 to the contour
+    CALL_BUDGET = {2: 5, 3: 5, 5: 4, 10: 4, 30: 3, 40: 3, 10000: 3}
+
+    @pytest.mark.parametrize("n", sorted(CALL_BUDGET))
     def test_few_contour_calls(self, monkeypatch, n):
+        calls = []
+
+        def counting(dim, lam):
+            calls.append(("contour", lam))
+            return fn_contour(dim, lam)
+
+        def saddle(dim, lam):
+            calls.append(("saddle", lam))
+            return fn_saddle_asymptotic(dim, lam)
+
+        monkeypatch.setattr(hslaplace.hypersphere, "fn_contour", counting)
+        monkeypatch.setattr(hslaplace.hypersphere, "fn_saddle_asymptotic", saddle)
+        lam_n = unit_crossing(n)
+        contour = [lam for kind, lam in calls if kind == "contour"]
+        assert len(contour) <= self.CALL_BUDGET[n]
+        assert contour[-1] == lam_n
+        # the saddle-point run comes first and makes no contour call
+        kinds = [kind for kind, _ in calls]
+        first = kinds.index("contour")
+        assert first > 0 and "saddle" not in kinds[first:]
+        # and hands the contour a lambda within the asymptotic route's own claim
+        start = fn_saddle_asymptotic(n, contour[0])
+        assert abs(start.value.ln_value) <= start.err_ln
+
+    @pytest.mark.parametrize("n", [250_000, 300_000, 446_684, 700_000, 2_000_000])
+    def test_large_n_closes_on_adjacent_doubles(self, monkeypatch, n):
+        # the contour's rounding moves ln F_n by up to ~1e-9 between adjacent
+        # doubles here, so |ln F_n| < 1e-10 may hold at none of them and the
+        # bracket closes on two adjacent doubles
         calls = []
 
         def counting(dim, lam):
@@ -180,8 +214,14 @@ class TestUnitCrossing:
 
         monkeypatch.setattr(hslaplace.hypersphere, "fn_contour", counting)
         lam_n = unit_crossing(n)
-        assert len(calls) <= 8
-        assert calls[-1] == lam_n
+        assert len(calls) <= 16
+        assert abs(fn_contour(n, lam_n).value.ln_value) < 1e-9
+
+    @pytest.mark.parametrize("n", [3, 40, 1000])
+    def test_quadrature_confirms_the_crossing(self, n):
+        # an exact route that shares no code with the contour
+        res = fn_quadrature(n, unit_crossing(n))
+        assert abs(res.value.ln_value) <= 1e-10 + res.err_ln
 
     @pytest.mark.parametrize("lam_fixed, end", [(1e-3, 3.0 * 2.0**10), (10.0, 0.3 / 2.0**10)])
     def test_no_sign_change_raises_after_ten_widenings(self, monkeypatch, lam_fixed, end):
@@ -201,8 +241,9 @@ class TestUnitCrossing:
 
     def test_sequence_moves_toward_critical(self):
         lam_cr = critical_point().lambda_cr
-        gaps = [abs(unit_crossing(n) - lam_cr) for n in (5, 10)]
-        assert gaps[1] < gaps[0]
+        lams = [unit_crossing(n) for n in (2, 3, 5, 10, 40, 1000, 10**4, 10**5, 10**6)]
+        assert all(a < b for a, b in zip(lams, lams[1:]))
+        assert lams[-1] < lam_cr
 
     def test_rejects_n_below_two(self):
         with pytest.raises(ValueError):

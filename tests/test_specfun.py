@@ -378,3 +378,25 @@ def test_array_kernels_match_the_scalar_path_where_z_squared_overflows(x):
         assert f(np.array([x]))[0].hex() == f(x).hex()
     got = ln_gamma_complex(np.array([complex(x, 1.0)]))[0]
     assert got == ln_gamma_complex(complex(x, 1.0)) and np.isfinite(got)
+
+
+# ln Gamma(z) where Re z and |Im z| both pass sqrt(max float) ~ 1.34e154, so
+# that z * z is inf - inf: frozen mpmath 1.3.0 loggamma, 40 digits
+LN_GAMMA_COMPLEX_FAR = [
+    (1e160 + 1e155j, "3.674136148789973118480337628473956560972e+162",
+     "3.684136148790639787598946103571253704911e+157"),
+    (2e154 + 2e154j, "7.077048538570510362084142556355978267509e+156",
+     "7.10846446510640829562951037120654296597e+156"),
+    (1e200 + 1e200j, "4.590781940256916472235607748872270849741e+202",
+     "4.606489903524865437952489961267280649199e+202"),
+    (1e300 - 1e300j, "6.893367033250962657964534950725761341582e+302",
+     "-6.909074996518911624981591013123376677263e+302"),
+]
+
+
+@pytest.mark.parametrize("z, re, im", LN_GAMMA_COMPLEX_FAR,
+                         ids=[repr(z) for z, _, _ in LN_GAMMA_COMPLEX_FAR])
+def test_ln_gamma_complex_where_z_squared_is_inf_minus_inf(z, re, im):
+    # w = 1/z^2 was nan there, and so was ln Gamma
+    ref = complex(float(re), float(im))
+    assert abs(ln_gamma_complex(z) - ref) <= 4.4e-16 * abs(ref)
