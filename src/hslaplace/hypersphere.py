@@ -104,7 +104,7 @@ def geometric_mean(f) -> float:
     arr = np.asarray(f, dtype=float)
     if arr.size == 0:
         raise ValueError("geometric_mean requires at least one entry")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+    if not np.isfinite(arr).all() or (arr <= 0.0).any():
         raise ValueError("geometric_mean requires positive entries")
     logs = np.sort(np.log(arr))
     return float(np.exp(logs.sum() / arr.size))

@@ -211,7 +211,7 @@ def fn_contour(n: int, lam: float) -> OracleResult:
     most 1e-13 (1 + |n phi(0)|) plus a rounding floor
     1e-15 n (1 + |phi(0)| + gamma |ln lambda|), or h reaches T/8000.  The
     error claim is the last halving difference + exp(-2 pi gamma / h) +
-    10 x (integrand at T) + 1e-12 (1 + |ln F|).
+    10 x (integrand at T) + 1e-12 (1 + |ln F|) + that rounding floor.
 
     Raises RuntimeError when no candidate T truncates the integrand, and
     when the running trapezoid sum is not finite and positive (at large
@@ -248,10 +248,8 @@ def fn_contour(n: int, lam: float) -> OracleResult:
     powers = np.arange(_EDGE_CANDIDATES)
     for batch in range(_EDGE_BATCHES):
         candidates = 8.0 / math.sqrt(n * sol.sigma) * 1.5 ** (powers + batch * powers.size)
-        # |z| > 1e154 overflows z * z in the series: not finite, never the edge
-        with np.errstate(over="ignore", invalid="ignore"):
-            edges = n * (ln_gamma_complex(gamma + 1j * candidates).real - gamma * ln_lam - phi0)
-        below = np.flatnonzero(edges < -_LN_EPS)
+        edges = n * (ln_gamma_complex(gamma + 1j * candidates).real - gamma * ln_lam - phi0)
+        below = (edges < -_LN_EPS).nonzero()[0]
         if below.size:
             break
     else:
@@ -269,12 +267,13 @@ def fn_contour(n: int, lam: float) -> OracleResult:
     # loop below always halves at least once
     u = integrand(np.concatenate((np.arange(m + 1) * h, (np.arange(m) + 0.5) * h)))
     # trapezoid on [-T, T] by symmetry: u(0) + u(T) + 2 sum of the interior nodes
-    acc = float(u[0] + u[m] + 2.0 * np.sum(u[1:m]))
+    acc = float(u[0] + u[m] + 2.0 * u[1:m].sum())
     ln_s = ln_sum(acc, h)
-    tol = 1e-13 * (1.0 + abs(n * phi0)) + 1e-15 * n * (1.0 + abs(phi0) + gamma * abs(ln_lam))
+    rounding = 1e-15 * n * (1.0 + abs(phi0) + gamma * abs(ln_lam))
+    tol = 1e-13 * (1.0 + abs(n * phi0)) + rounding
     mid = u[m + 1:]
     while True:
-        acc += 2.0 * float(np.sum(mid))
+        acc += 2.0 * float(mid.sum())
         h *= 0.5
         m *= 2
         ln_new = ln_sum(acc, h)
@@ -283,7 +282,7 @@ def fn_contour(n: int, lam: float) -> OracleResult:
             break
         mid = integrand((np.arange(m) + 0.5) * h)
     ln_f = n * phi0 - math.log(2.0 * math.pi) + ln_s
-    err = diff + math.exp(-2.0 * math.pi * gamma / h) + 10.0 * tail + 1e-12 * (1.0 + abs(ln_f))
+    err = diff + math.exp(-2.0 * math.pi * gamma / h) + 10.0 * tail + 1e-12 * (1.0 + abs(ln_f)) + rounding
     return OracleResult(LogValue(ln_f), err, Method.CONTOUR)
 
 

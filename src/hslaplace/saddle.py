@@ -313,7 +313,7 @@ def tabulate(lambda_grid) -> list[SaddleSolution]:
     ln_lam = np.array([math.log(v) for v in grid])
     gamma = inverse_digamma(ln_lam)
     ln_L = ln_gamma(gamma) - gamma * ln_lam
-    bad = np.flatnonzero(~np.isfinite(ln_L))
+    bad = (~np.isfinite(ln_L)).nonzero()[0]
     if bad.size:
         raise ValueError(_LN_L_OVERFLOW.format(grid[bad[0]]))
     sigma = trigamma(gamma)

@@ -31,6 +31,8 @@ EULER_GAMMA = 0.5772156649015329
 
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 _SHIFT = 10.0
+# columns per shift block: 11 rows of 2^15 doubles is 2.9 MB (5.8 MB complex)
+_BLOCK_COLUMNS = 1 << 15
 # below 1/sqrt(max float) psi'(x) ~ 1/x^2 is not a finite double
 _TRIGAMMA_MIN = 1.0 / math.sqrt(sys.float_info.max)
 _TRIGAMMA_DOMAIN = f"trigamma requires x >= 1/sqrt(max float) = {_TRIGAMMA_MIN:.3g}, got {{!r}}"
@@ -50,7 +52,7 @@ _LNGAMMA_COEFF, _DIGAMMA_COEFF, _TRIGAMMA_COEFF, _PSI2_COEFF, _PSI3_COEFF = (
 
 def _as_positive_array(x, name):
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+    if not np.isfinite(arr).all() or (arr <= 0.0).any():
         raise ValueError(f"{name} requires finite positive argument(s)")
     return arr
 
@@ -58,6 +60,17 @@ def _as_positive_array(x, name):
 def _check_positive_scalar(x, name):
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"{name} requires finite positive argument(s)")
+
+
+def _sum_down(a):
+    """Sums the 2-D array a down its rows in place, in row order: a row at a time
+    past 256 columns, where np.add.accumulate, which walks the columns one by one
+    (55 ns each against 1.5 us a row add on a 2.1 GHz Xeon), costs more."""
+    if a.shape[1] <= 256:
+        return np.add.accumulate(a, axis=0, out=a)
+    for j in range(1, len(a)):
+        a[j] += a[j - 1]
+    return a
 
 
 def _series_array(z, *series):
@@ -69,36 +82,29 @@ def _series_array(z, *series):
     z, w and one (series sum, shift sum) pair per entry of series, flat and
     in the order of z.
 
-    The copy is ordered by shift count k, most first (a stable sort, skipped
-    when k is already non-increasing, as on a vertical line or an ascending
-    grid), so that the elements still to shift at step j are a prefix; the
-    order is undone once after the last step.  Each element goes through the
-    same operations as in an element-by-element loop.
+    Column i of a (steps + 1) x size block holds z_i over the steps 1.0 while
+    z_i still shifts, 0.0 after: summed down, row j is z_i + 1.0 + ... + 1.0
+    as in an element-by-element loop.  Each term is one call on the block,
+    zeroed past z_i's steps and summed down (np.add.reduce would sum a single
+    column pairwise); + 0.0 gives a -0.0 sum the sign of 0.0 + ... has.
     """
-    z = z.reshape(-1)
-    k = np.maximum(0, np.ceil(_SHIFT - z.real)).astype(int)
-    order = None
-    if np.all(k[:-1] >= k[1:]):
-        z = z.copy()
-    else:
-        order = np.argsort(-k, kind="stable")
-        z, k = z[order], k[order]
+    z = z.reshape(-1).copy()
     shifts = [np.zeros_like(z) for _ in series]
-    # the number of elements with k > j, for every step j
-    counts = np.searchsorted(-k, -np.arange(k[0] if k.size else 0), side="left")
-    for c in counts.tolist():
-        zc = z[:c]
-        for shift, (_, term) in zip(shifts, series):
-            shift[:c] += term(zc)
-        zc += 1.0
-    if order is not None:
-        undo = np.empty_like(order)
-        undo[order] = np.arange(order.size)
-        z = z[undo]
-        shifts = [shift[undo] for shift in shifts]
-    # above |z| ~ 1.34e154 z * z overflows (to inf - inf = nan where Re z and
-    # |Im z| both do); there |w| < 5.6e-309 is below every term's last bit
+    # z * z overflows above |z| ~ 1.34e154, padded rows included (inf - inf = nan
+    # where Re z and |Im z| both do); there |w| < 5.6e-309 is below every last bit
     with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, z.size, _BLOCK_COLUMNS):
+            zc = z[lo:lo + _BLOCK_COLUMNS]
+            k = np.ceil(_SHIFT - zc.real)
+            active = np.arange(max(0.0, k.max()))[:, None] < k
+            if not active.size:
+                continue
+            block = np.concatenate((zc[None], active))
+            # copied back only where z stepped: z + 0.0 turns Im z = -0.0 to +0.0
+            np.copyto(zc, _sum_down(block)[-1], where=active[0])
+            for shift, (_, term) in zip(shifts, series):
+                t = np.where(active, term(block[:-1]), 0.0)
+                np.add(_sum_down(t)[-1], 0.0, out=shift[lo:lo + _BLOCK_COLUMNS])
         z2 = z * z
         w = 1.0 / z2
     w[~np.isfinite(z2)] = 0.0
@@ -186,7 +192,7 @@ def trigamma(x):
             s = s * w + c
         return 1.0 / x + 0.5 * w + s * w / x + shift
     arr = _as_positive_array(x, "trigamma")
-    if np.any(arr < _TRIGAMMA_MIN):
+    if (arr < _TRIGAMMA_MIN).any():
         raise ValueError(_TRIGAMMA_DOMAIN.format(float(arr[arr < _TRIGAMMA_MIN].flat[0])))
     z, w, ((s, shift),) = _series_array(arr, _TRIGAMMA_SERIES)
     out = 1.0 / z + 0.5 * w + s * w / z + shift
@@ -218,7 +224,7 @@ def ln_gamma_complex(z):
     continuation of ln Gamma rather than the principal log of Gamma.
     """
     arr = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(arr)) or np.any(arr.real <= 0.0):
+    if not np.isfinite(arr).all() or (arr.real <= 0.0).any():
         raise ValueError("ln_gamma_complex requires finite arguments with Re z > 0")
     zz, _, ((s, shift),) = _series_array(arr, (_LNGAMMA_COEFF, np.log))
     # (zz - 0.5) ln zz - zz + ln sqrt(2 pi) + s / zz - shift, left to right

@@ -311,7 +311,9 @@ def test_bad_grid_exits_one(capsys):
 # step-2h difference and the 1e-15 n rounding term) and the deviation
 # 1.1102230246251565e-15 -> 8.8817841970012523e-16; at n = 3 the cell moved
 # 3.0947544338276034e-01 -> 3.0947544338275979e-01 and the deviation
-# 9.4368957093138306e-16 -> 1.4988010832439613e-15.
+# 9.4368957093138306e-16 -> 1.4988010832439613e-15.  The contour err_est
+# gained the rounding floor 1e-15 n (1 + |phi0| + gamma |ln lambda|)
+# (2.5443751122522321e-12 before).
 GOLDEN = [
     ("oracle --method closed-form --n 2 --lambda 1",
      "n,lambda,method,ln_F,err_est\n"
@@ -321,7 +323,7 @@ GOLDEN = [
      "2,1.0000000000000000e+00,quadrature,-1.4793410244157648e+00,1.1759326976912736e-13\n"),
     ("oracle --method contour --n 2 --lambda 1",
      "n,lambda,method,ln_F,err_est\n"
-     "2,1.0000000000000000e+00,contour,-1.4793410244157656e+00,2.5443751122522321e-12\n"),
+     "2,1.0000000000000000e+00,contour,-1.4793410244157656e+00,2.5466180848333038e-12\n"),
     ("oracle --method asymptotic --n 2 --lambda 1",
      "n,lambda,method,ln_F,err_est\n"
      "2,1.0000000000000000e+00,asymptotic,-1.4920537853295990e+00,3.6436301400353387e-02\n"),

@@ -75,14 +75,18 @@ MC_PINNED = [
 
 
 # fn_contour(n, lambda): hex of (ln_value, err_ln), pinned before the first
-# level's nodes and midpoints went into one ln Gamma call
+# level's nodes and midpoints went into one ln Gamma call.  err_ln was
+# re-pinned when it gained the rounding floor 1e-15 n (1 + |phi0| +
+# gamma |ln lambda|); before, in the order below: 0x1.1293e0ef242aep-35,
+# 0x1.6616c642f94c0p-39, 0x1.30da8986e5a0ap-37, 0x1.3a93e569a6e9ep-12,
+# 0x1.1000b18caf3d7p-29, 0x1.acbbb70e53956p-34.  No ln_value moved.
 CONTOUR_PINNED = [
-    (1, 1e-20, "-0x1.8000000000000p-49", "0x1.1293e0ef242aep-35"),
-    (2, 1.0, "-0x1.7ab617e77f31ap+0", "0x1.6616c642f94c0p-39"),
-    (40, 1.0, "-0x1.e6c44d85d5e68p+2", "0x1.30da8986e5a0ap-37"),
-    (3, 1e8, "-0x1.1e1a31121d1fap+28", "0x1.3a93e569a6e9ep-12"),
-    (1000, 0.05, "0x1.ee640c80ff713p+10", "0x1.1000b18caf3d7p-29"),
-    (100_000, 0.918, "-0x1.22aa8bca95512p+4", "0x1.acbbb70e53956p-34"),
+    (1, 1e-20, "-0x1.8000000000000p-49", "0x1.12a341d782c42p-35"),
+    (2, 1.0, "-0x1.7ab617e77f31ap+0", "0x1.666796083e450p-39"),
+    (40, 1.0, "-0x1.e6c44d85d5e68p+2", "0x1.326e98613e7d9p-37"),
+    (3, 1e8, "-0x1.1e1a31121d1fap+28", "0x1.40afdb1f41691p-12"),
+    (1000, 0.05, "0x1.ee640c80ff713p+10", "0x1.108e431a454ccp-29"),
+    (100_000, 0.918, "-0x1.22aa8bca95512p+4", "0x1.cc321c7371c85p-33"),
 ]
 
 
@@ -224,6 +228,25 @@ class TestContourErrorContract:
 def test_contour_bits_are_pinned(n, lam, ln_f, err_ln):
     res = fn_contour(n, lam)
     assert (res.value.ln_value.hex(), res.err_ln.hex()) == (ln_f, err_ln)
+
+
+# the unit crossing at n = 446 684 and its two neighbouring doubles, where
+# the contour's rounding over one ulp (values 3.8e-10, -4.1e-10, -6.0e-10)
+# exceeded its claim (7.7e-11, 1.0e-10, 1.4e-10) before the rounding floor
+# 1e-15 n (1 + |phi0| + gamma |ln lambda|) ~ 5.0e-10 joined it
+_LAM_446684 = 0.9179124170549844
+_NEAR_CROSSING = [math.nextafter(_LAM_446684, 0.0), _LAM_446684, math.nextafter(_LAM_446684, 1.0)]
+
+
+def test_contour_claim_covers_its_rounding_at_large_n():
+    n = 446_684
+    results = [fn_contour(n, lam) for lam in _NEAR_CROSSING]
+    for lam, res in zip(_NEAR_CROSSING, results):
+        # ln F_n changes by about n gamma ulp(lambda) / lambda per ulp; allow two
+        slack = 2.0 * n * solve_saddle(lam).gamma * math.ulp(lam) / lam
+        assert abs(res.value.ln_value) <= res.err_ln + slack
+    for a, b in zip(results, results[1:]):
+        assert abs(a.value.ln_value - b.value.ln_value) <= a.err_ln + b.err_ln
 
 
 class TestContourNodes:

@@ -8,6 +8,7 @@ so they share no code with the package kernel.
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,8 +333,24 @@ _LNGAMMA_SERIES = (specfun._LNGAMMA_COEFF, np.log)
 _RNG = np.random.default_rng(13)
 
 
+def _shift_count_cases():
+    """For every shift count k from 0 to 10: one element, two elements (complex)
+    and a (k, 1) column; a single column is where np.add.reduce sums pairwise."""
+    rng = np.random.default_rng(15)
+    cases, ids = [], []
+    for k in range(11):
+        lo = specfun._SHIFT - k  # ceil(_SHIFT - x) = k on [lo, lo + 1)
+        cases += [np.array([lo + 0.3]), np.array([lo + 0.7 - 1j, lo + 0.2 + 3j]),
+                  rng.uniform(lo + 0.01, lo + 0.99, (k, 1))]
+        ids += [f"size-1-k{k}", f"size-2-complex-k{k}", f"column-k{k}"]
+    return cases, ids
+
+
+_SHIFT_CASES, _SHIFT_IDS = _shift_count_cases()
+
+
 class TestSeriesArray:
-    """The prefix-slice shift loop against the boolean-mask form, bit for bit."""
+    """The block shift against the boolean-mask loop, bit for bit."""
 
     @pytest.mark.parametrize("z", [
         # every shift count from 0 to 10, interleaved and unsorted
@@ -351,9 +368,19 @@ class TestSeriesArray:
         np.empty(0, dtype=complex),
         np.array(2.5),
         np.array(0.7 + 4j),
+        # one shift from Im z = -0.0: the shift sum is 0.0 + (-0.0) = +0.0
+        np.array([complex(9.5, -0.0), complex(9.25, -0.0)]),
+        # no shift next to shifts: z keeps Im z = -0.0 (z + 0.0 would not)
+        np.array([complex(12.0, -0.0), complex(5.0, -0.0), complex(0.5, -0.0)]),
+        # wider than 256 columns: summed a row at a time
+        _RNG.uniform(1e-3, 15.0, 700),
+        _RNG.uniform(1e-3, 15.0, 300) + 1j * _RNG.standard_normal(300),
+        *_SHIFT_CASES,
     ], ids=["k-0-to-10-unsorted", "no-shift", "mixed", "ascending", "one",
             "vertical-line", "mixed-real-parts", "2-d", "2-d-complex", "empty",
-            "empty-complex", "0-d", "0-d-complex"])
+            "empty-complex", "0-d", "0-d-complex", "minus-zero-imag",
+            "minus-zero-imag-no-shift", "wide",
+            "wide-complex", *_SHIFT_IDS])
     @pytest.mark.parametrize("series", [
         (_LNGAMMA_SERIES,),
         (specfun._DIGAMMA_SERIES, specfun._TRIGAMMA_SERIES),
@@ -369,6 +396,54 @@ class TestSeriesArray:
         for (s, shift), (ref_s, ref_shift) in zip(got_sums, ref_sums):
             assert s.tobytes() == ref_s.tobytes()
             assert shift.tobytes() == ref_shift.tobytes()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_blocks_of_fewer_columns_give_the_same_bits(self, dtype, monkeypatch):
+        # blocks of 300, 300 and 100 columns: two summed a row at a time, then
+        # one by np.add.accumulate
+        monkeypatch.setattr(specfun, "_BLOCK_COLUMNS", 300)
+        z = _RNG.uniform(1e-3, 15.0, 700).astype(dtype)
+        if dtype is complex:
+            z += 1j * _RNG.standard_normal(700)
+        self.test_bit_identical_to_the_mask_loop(
+            z, (specfun._DIGAMMA_SERIES, specfun._TRIGAMMA_SERIES))
+
+
+@pytest.mark.parametrize("z", [
+    np.array([1e-3, 1e300, 0.5, 1e300, 12.0]),
+    np.array([1e-3 + 1j, 1e300 + 1e300j, 0.5 - 2j, 1e300 - 1e300j, 12.0 + 0j]),
+], ids=["real", "complex"])
+def test_small_and_huge_arguments_in_one_array(z):
+    # the huge elements' columns are padded with 1e300 rows, where 1/(z z)
+    # overflows (inf - inf = nan when complex); the padding must not warn
+    # (pytest fails on a RuntimeWarning) nor reach any element
+    if z.dtype == complex:
+        # numpy's complex kernels may round a lone element differently, so the
+        # reference is each magnitude in an array of its own
+        got = ln_gamma_complex(z)
+        huge = np.abs(z) > 1e3
+        assert got[huge].tobytes() == ln_gamma_complex(z[huge]).tobytes()
+        assert got[~huge].tobytes() == ln_gamma_complex(z[~huge]).tobytes()
+        assert np.isfinite(got).all()
+        return
+    for f in (ln_gamma, digamma, trigamma):
+        got = f(z)
+        assert [v.hex() for v in got.tolist()] == [f(v).hex() for v in z.tolist()]
+
+
+def test_ln_gamma_scratch_memory_is_bounded():
+    # a (steps + 1) x size block would need 11 x the input's bytes below 1,
+    # plus the terms; shifted _BLOCK_COLUMNS columns at a time the peak is
+    # 6.00 x the input's bytes, as with the prefix-slice loop before (6.00 x)
+    x = np.random.default_rng(0).uniform(0.0, 1.0, 1_000_000)
+    x[x == 0.0] = 0.5
+    tracemalloc.start()
+    try:
+        ln_gamma(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5 * x.nbytes
 
 
 @pytest.mark.parametrize("x", [1.34e154, 1e155, 1e200, 1e300])
