@@ -132,12 +132,16 @@ def _cmd_ensemble(args) -> None:
 def _cmd_plot(args) -> None:
     text = Path(args.table).read_text(encoding="ascii")
     lines = [ln for ln in text.splitlines() if ln]
+    if not lines:
+        raise ValueError(f"table {args.table} is empty")
     header = lines[0].split(",")
     need = {"lambda", "gamma", "ln_L"}
     if not need.issubset(header):
         raise ValueError(f"table must provide columns {sorted(need)}")
     idx = {name: header.index(name) for name in header}
     rows = [ln.split(",") for ln in lines[1:]]
+    if any(len(r) < len(header) for r in rows):
+        raise ValueError(f"every table row must have the header's {len(header)} columns")
     lam = [float(r[idx["lambda"]]) for r in rows]
     gam = [float(r[idx["gamma"]]) for r in rows]
     big_l = [math.exp(float(r[idx["ln_L"]])) for r in rows]

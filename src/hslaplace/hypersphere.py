@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,16 +36,18 @@ class HypersphereSpec:
     n: int
     r: float
     f: tuple[float, ...]
+    # geometric_mean(f), the only way f enters D_n; computing it checks f
+    rho: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValueError("dimension n must be an integer >= 1")
         if not (math.isfinite(self.r) and self.r > 0.0):
             raise ValueError("radius r must be a positive real")
+        object.__setattr__(self, "f", tuple(self.f))
         if len(self.f) != self.n:
             raise ValueError("f must have exactly n entries")
-        if any(not math.isfinite(v) or v <= 0.0 for v in self.f):
-            raise ValueError("all entries of f must be positive reals")
+        object.__setattr__(self, "rho", geometric_mean(self.f))
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,7 @@ class GrandEnsembleSpec:
             raise ValueError("theta must be a positive real")
         if len(self.f) != len(self.weights) or not self.f:
             raise ValueError("f and weights must be nonempty and of equal length")
-        if any(not math.isfinite(v) or v <= 0.0 for v in self.f):
-            raise ValueError("all entries of f must be positive reals")
+        geometric_mean(self.f)  # the one check of f's entries
         if not all(math.isfinite(w) for w in self.weights):
             raise ValueError(f"weights must be finite, got {self.weights}")
         if any(w < 0.0 for w in self.weights):
@@ -100,33 +101,29 @@ def geometric_mean(f) -> float:
 
     Sorting the logs before summation makes the result bitwise independent
     of the input order, which downstream permutation invariance relies on.
+    It is the one check of a dual vector's entries.
     """
     arr = np.asarray(f, dtype=float)
     if arr.size == 0:
-        raise ValueError("geometric_mean requires at least one entry")
+        raise ValueError("f must have at least one entry")
     if not np.isfinite(arr).all() or (arr <= 0.0).any():
-        raise ValueError("geometric_mean requires positive entries")
+        raise ValueError("all entries of f must be finite positive reals")
     logs = np.sort(np.log(arr))
     return float(np.exp(logs.sum() / arr.size))
 
 
-def laplace_dn(
-    spec: HypersphereSpec,
-    method: Method | str = "auto",
-    tol: float = 1e-9,
-    samples: int = 100_000,
-    seed: int = 0,
-) -> OracleResult:
-    """ln D_n(f) = ln F_n(rho(f) * r) by the selected oracle.
+def laplace_dn(spec: HypersphereSpec, method: Method | str = "auto") -> OracleResult:
+    """ln D_n(f) = ln F_n(rho(f) * r) by the selected oracle, at its defaults.
 
     ``method`` is one of the Method values or "auto" (closed form for
     n <= 2, contour otherwise).  Invariant under permutations of f and
     under rescalings f -> c * f with prod c_k = 1, since only the
-    geometric mean enters.
+    geometric mean ``spec.rho`` enters.  For a route's tol, samples or
+    seed, call ``evaluate(method, spec.n, spec.rho * spec.r, ...)``.
     """
     if method == "auto":
         method = Method.CLOSED_FORM if spec.n <= 2 else Method.CONTOUR
-    return evaluate(method, spec.n, geometric_mean(spec.f) * spec.r, tol, samples, seed)
+    return evaluate(method, spec.n, spec.rho * spec.r)
 
 
 def classify_regime(lambda_eff: float, epsilon: float) -> RegimeReport:
@@ -206,7 +203,7 @@ def _secant(g_tol, u: float, slope: float, u_cr: float) -> tuple[float, float]:
     raise RuntimeError("unit_crossing stalled")  # pragma: no cover
 
 
-def unit_crossing(n: int, residual_tol: float = 1e-10) -> float:
+def unit_crossing(n: int) -> float:
     """The lambda_n with F_n(lambda_n) = 1, by safeguarded secant in u = ln lambda.
 
     g(u) = ln F_n(e^u) is strictly decreasing.  The secant (``_secant``)
@@ -216,11 +213,11 @@ def unit_crossing(n: int, residual_tol: float = 1e-10) -> float:
        the saddle slope dg/du ~ -n gamma_cr, until |g| is below that
        route's own err_ln.  This makes no contour call.
     2. on the contour oracle, from phase 1's u with its last secant slope,
-       until |g| < residual_tol.
+       until |g| < 1e-10.
 
     Returns the first contour-evaluated lambda with |ln F_n(lambda)| <
-    residual_tol or, where the contour's rounding over one ulp of lambda
-    exceeds residual_tol (n of a few 1e5 and up) and the bracket closes on
+    1e-10 or, where the contour's rounding over one ulp of lambda exceeds
+    1e-10 (n of a few 1e5 and up) and the bracket closes on
     two adjacent doubles, the one of the two with the smaller |ln F_n|.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
@@ -233,7 +230,7 @@ def unit_crossing(n: int, residual_tol: float = 1e-10) -> float:
         return r.value.ln_value, r.err_ln
 
     def contour(u):
-        return fn_contour(n, math.exp(u)).value.ln_value, residual_tol
+        return fn_contour(n, math.exp(u)).value.ln_value, 1e-10
 
     u, slope = _secant(saddle, u_cr, -n * cp.gamma_cr, u_cr)
     u, _ = _secant(contour, u, slope, u_cr)
@@ -273,9 +270,9 @@ def ensemble_comparison(
         if not (math.isfinite(c) and c > 0.0):
             raise ValueError("schedule coefficient c must be positive")
     ns = [int(v) for v in n_grid]
-    if any(b <= a for a, b in zip(ns, ns[1:])) or any(v < 1 for v in ns):
+    if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or any(v < 1 for v in ns):
         raise ValueError("n_grid must be strictly increasing positive integers")
-    weights = tuple(1.0 / len(tuple(f)) for _ in tuple(f))
+    weights = (1.0 / len(f),) * len(f)
     ln_psi = psi_theta(GrandEnsembleSpec(theta=theta, f=tuple(f), weights=weights)).ln_value
     rows = []
     for n in ns:

@@ -7,10 +7,12 @@ numbers.  That covers the whole positive axis (and the right half plane for
 the complex case) without reflection formulas, which is all this package
 ever needs.
 
-Accuracy: errors stay within a few ulp of the result, i.e. below
-tol * max(1, |f(x)|) with tol = 1e-13 for ln Gamma / digamma and 1e-12 for
-trigamma.  Near the blow-up edges (x -> 0+, where psi ~ -1/x) this scaled
-bound is the best any fixed-precision evaluation can promise.
+Accuracy: errors stay below tol * max(1, |f(x)|), the absolute bound the
+tests check, with tol = 1e-13 for ln Gamma / digamma and 1e-12 for trigamma.
+Near a zero of f that is not a few ulp: against 40-digit mpmath,
+ln_gamma(1 + 1e-7) is 1.5e8 ulp (1.7e-8 relative) off and ln_gamma(2.165)
+571 ulp (ROADMAP item 4).  Near the blow-up edges (x -> 0+, psi ~ -1/x) the
+scaled bound is the best any fixed-precision evaluation can promise.
 
 K0 is evaluated in log form from its cosh integral representation by a
 symmetric trapezoid rule, which converges geometrically because the
@@ -221,7 +223,11 @@ def ln_gamma_complex(z):
     Continuous along vertical lines gamma + i t (the shift recurrence never
     crosses the negative real axis for Re z > 0) and equal to ln_gamma on
     the real axis.  The imaginary part is unwrapped, so this is the
-    continuation of ln Gamma rather than the principal log of Gamma.
+    continuation of ln Gamma rather than the principal log of Gamma.  A lone
+    argument (0-d or one-element array) may differ in the last bit from the
+    same value inside a longer array, since numpy's complex loops round the
+    two differently: Re ln Gamma(1e300+1e300j) is 0x1.01554915dda3ep+1006
+    alone and 0x1.01554915dda3dp+1006 in an array.
     """
     arr = np.asarray(z, dtype=complex)
     if not np.isfinite(arr).all() or (arr.real <= 0.0).any():

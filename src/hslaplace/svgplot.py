@@ -9,29 +9,21 @@ from __future__ import annotations
 import math
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
-def line_plot_svg(
-    x,
-    y,
-    *,
-    title: str,
-    x_label: str,
-    y_label: str,
-    width: int = 720,
-    height: int = 480,
-) -> str:
-    """Render the curve (x, y) as an SVG document string."""
+def line_plot_svg(x, y, *, title: str, x_label: str, y_label: str) -> str:
+    """Render the curve (x, y) as a 720 x 480 SVG document string."""
     xs = [float(v) for v in x]
     ys = [float(v) for v in y]
     if len(xs) != len(ys) or len(xs) < 2:
         raise ValueError("need at least two points with matching lengths")
     if any(not math.isfinite(v) for v in xs + ys):
         raise ValueError("plot data must be finite")
+    width, height = 720, 480
     ml, mr, mt, mb = 70, 20, 40, 55
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)

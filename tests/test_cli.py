@@ -267,6 +267,28 @@ def test_plot_emits_wellformed_svg(tmp_path, capsys):
         assert any(child.tag.endswith("polyline") for child in root.iter())
 
 
+@pytest.mark.parametrize(
+    "text", ["", "lambda,gamma,ln_L,sigma\n1.0,1.46,0.0,1.0\n2.0,1.9\n"]
+)
+def test_plot_bad_table_exits_one(tmp_path, capsys, text):
+    # an empty file or a row shorter than the header raised IndexError
+    table = tmp_path / "table.csv"
+    table.write_text(text)
+    code, _, err = run_cli(capsys, "plot", "--table", str(table), "--out", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error (plot):")
+    assert "Traceback" not in err
+
+
+def test_ensemble_empty_grid_exits_one(capsys):
+    # an empty grid printed a bare header and exited 0, never checking epsilon
+    code, out, err = run_cli(
+        capsys, "ensemble", "--f", "1,2", "--epsilon", "-1", "--n-grid", ""
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error (ensemble): n_grid")
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "--n", "2"])  # missing --lambda

@@ -11,6 +11,7 @@ import hslaplace.hypersphere
 from hslaplace import (
     GrandEnsembleSpec,
     HypersphereSpec,
+    ROUTES,
     Regime,
     classify_regime,
     critical_point,
@@ -31,6 +32,9 @@ K0_2 = 0.11389387274953344
 
 positive_floats = st.floats(min_value=1e-6, max_value=1e6)
 
+BAD_ENTRIES = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+BAD_F_MESSAGE = "^all entries of f must be finite positive reals$"
+
 
 class TestGeometricMean:
     def test_identity_vector(self):
@@ -50,12 +54,22 @@ class TestGeometricMean:
         assert geometric_mean(values) == geometric_mean(shuffled)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^f must have at least one entry$"):
             geometric_mean([])
         with pytest.raises(ValueError):
             geometric_mean([1.0, 0.0])
         with pytest.raises(ValueError):
             geometric_mean([1.0, -2.0])
+
+    @pytest.mark.parametrize("bad", BAD_ENTRIES)
+    def test_one_message_for_every_bad_entry(self, bad):
+        # geometric_mean is the one check of f; both specs go through it
+        with pytest.raises(ValueError, match=BAD_F_MESSAGE):
+            geometric_mean([1.0, bad])
+        with pytest.raises(ValueError, match=BAD_F_MESSAGE):
+            HypersphereSpec(n=2, r=1.0, f=(1.0, bad))
+        with pytest.raises(ValueError, match=BAD_F_MESSAGE):
+            GrandEnsembleSpec(theta=1.0, f=(1.0, bad), weights=(0.5, 0.5))
 
 
 class TestHypersphereSpecValidation:
@@ -70,6 +84,26 @@ class TestHypersphereSpecValidation:
             HypersphereSpec(n=2, r=1.0, f=(1.0, 0.0))
         with pytest.raises(ValueError):
             HypersphereSpec(n=0, r=1.0, f=())
+
+    def test_rho_is_the_geometric_mean_bitwise(self):
+        f = [0.5, 2.2, 1.3, 7.0e-3, 4.1e2]
+        spec = HypersphereSpec(n=5, r=0.7, f=f)
+        assert spec.f == tuple(f)
+        assert spec.rho == geometric_mean(f)
+
+    def test_f_checked_once_per_spec_and_never_by_laplace_dn(self, monkeypatch):
+        calls = []
+
+        def counting(f):
+            calls.append(f)
+            return geometric_mean(f)
+
+        monkeypatch.setattr(hslaplace.hypersphere, "geometric_mean", counting)
+        spec = HypersphereSpec(n=3, r=0.8, f=(0.5, 2.2, 1.3))
+        assert len(calls) == 1
+        laplace_dn(spec)
+        laplace_dn(spec, method="quadrature")
+        assert len(calls) == 1
 
 
 class TestLaplaceDn:
@@ -100,10 +134,31 @@ class TestLaplaceDn:
     def test_method_dispatch(self):
         spec = HypersphereSpec(n=2, r=1.0, f=(1.0, 1.0))
         closed = laplace_dn(spec, method="closed-form").value.ln_value
-        quad = laplace_dn(spec, method="quadrature", tol=1e-9).value.ln_value
+        quad = laplace_dn(spec, method="quadrature").value.ln_value
         cont = laplace_dn(spec, method="contour").value.ln_value
         assert abs(closed - quad) < 1e-8
         assert abs(closed - cont) < 1e-9
+
+    @pytest.mark.parametrize("n", [2, 40])
+    def test_every_route_equals_evaluate_at_rho_r(self, n):
+        f = [1.0 + 0.1 * k for k in range(n)]
+        spec = HypersphereSpec(n=n, r=0.6, f=f)
+        methods = [m for m, route in ROUTES.items() if route.covers(n)]
+        assert len(methods) >= 4
+        for m in methods:
+            via_dn = laplace_dn(spec, method=m)
+            direct = evaluate(m, spec.n, spec.rho * spec.r)
+            assert via_dn.value.ln_value == direct.value.ln_value
+            assert via_dn.err_ln == direct.err_ln
+
+    def test_mutating_the_source_list_changes_nothing(self):
+        f = [0.5, 2.2, 1.3]
+        spec = HypersphereSpec(n=3, r=0.8, f=f)
+        before = laplace_dn(spec)
+        f[0] = 1e6
+        after = laplace_dn(spec)
+        assert spec.f == (0.5, 2.2, 1.3)
+        assert (after.value.ln_value, after.err_ln) == (before.value.ln_value, before.err_ln)
 
     def test_method_availability_errors(self):
         spec = HypersphereSpec(n=3, r=1.0, f=(1.0, 1.0, 1.0))
@@ -346,3 +401,6 @@ class TestEnsembleComparison:
             ensemble_comparison((1.0,), 1.0, (-1.0, 0.0), (2, 3), epsilon=0.05)
         with pytest.raises(ValueError):
             ensemble_comparison((1.0,), 1.0, "pinned", (2, 3), epsilon=0.05)
+        # an empty grid used to return [] without checking epsilon
+        with pytest.raises(ValueError, match="n_grid"):
+            ensemble_comparison((1.0, 2.0), 1.0, (1.0, 0.0), (), epsilon=-1.0)
