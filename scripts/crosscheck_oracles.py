@@ -2,9 +2,9 @@
 """Print every available ln F_n route side by side over an (n, lambda) grid.
 
 The max-dev column is the largest pairwise deviation among the exact routes
-(closed form, quadrature, contour); the asymptotic column shows the Gaussian
-saddle estimate converging as n grows.  A route that refuses at a point
-leaves its cell blank and is named on stderr.
+(closed form, quadrature, contour); the asymptotic column shows the
+saddle-point expansion through 1/n^2 closing in, O(1/n^3), as n grows.  A
+route that refuses at a point leaves its cell blank and is named on stderr.
 """
 
 import argparse

@@ -150,27 +150,28 @@ def classify_regime(lambda_eff: float, epsilon: float) -> RegimeReport:
 
 
 def _secant(g_tol, u: float, slope: float, u_cr: float) -> tuple[float, float]:
-    """Safeguarded secant for the root of a decreasing g(u), from u with a first slope.
+    """Safeguarded Newton or secant steps to the root of a decreasing g(u), from u.
 
-    ``g_tol(u)`` returns (g(u), tol).  Every value narrows a bracket [lo, hi]
-    with g(lo) > 0 > g(hi).  The first step is -g / slope; each later step is
-    the secant through the last two values.  A step that leaves the bracket,
-    or a secant with no slope, is replaced by the bracket's midpoint.  While
-    one side of the bracket has no known sign yet, such a step goes to that
-    side's end of [0.3, 3] * e^u_cr instead; an end with the wrong sign is
-    moved out by a factor 2, up to ten times before giving up with
-    RuntimeError.
+    ``g_tol(u)`` returns (g(u), tol, dg/du or None).  Every value narrows a
+    bracket [lo, hi] with g(lo) > 0 > g(hi).  A step is -g / slope, with the
+    slope dg/du where g_tol returns one (Newton), else the secant through
+    the last two values, or the given first slope before there are two.  A
+    step that leaves the bracket, or a secant with no slope, is replaced by
+    the bracket's midpoint.  While one side of the bracket has no known sign
+    yet, such a step goes to that side's end of [0.3, 3] * e^u_cr instead; an
+    end with the wrong sign is moved out by a factor 2, up to ten times
+    before giving up with RuntimeError.
 
-    Returns (u, slope): the first u with |g(u)| < tol and the last secant
-    slope.  Once both signs are known and lo, hi are adjacent doubles, the
-    end with the smaller |g| is returned instead, since no u lies between.
+    Returns (u, slope): the first u with |g(u)| < tol and the last slope.
+    Once both signs are known and lo, hi are adjacent doubles, the end with
+    the smaller |g| is returned instead, since no u lies between.
     """
     lo, hi = u_cr + math.log(0.3), u_cr + math.log(3.0)
     g_lo = g_hi = None
     widenings = 0
     u_prev = g_prev = None
     for _ in range(200):
-        g, tol = g_tol(u)
+        g, tol, dg = g_tol(u)
         if abs(g) < tol:
             return u, slope
         if (g > 0.0 and u == hi) or (g < 0.0 and u == lo):
@@ -189,7 +190,9 @@ def _secant(g_tol, u: float, slope: float, u_cr: float) -> tuple[float, float]:
         if g_lo is not None and g_hi is not None and not lo < 0.5 * (lo + hi) < hi:
             # rounding in g is larger than its change over one ulp of u
             return (lo, slope) if abs(g_lo) < abs(g_hi) else (hi, slope)
-        if u_prev is not None:
+        if dg is not None:
+            slope = dg
+        elif u_prev is not None:
             slope = (g - g_prev) / (u - u_prev) if g != g_prev else math.nan
         u_prev, g_prev = u, g
         u -= g / slope
@@ -204,16 +207,21 @@ def _secant(g_tol, u: float, slope: float, u_cr: float) -> tuple[float, float]:
 
 
 def unit_crossing(n: int) -> float:
-    """The lambda_n with F_n(lambda_n) = 1, by safeguarded secant in u = ln lambda.
+    """The lambda_n with F_n(lambda_n) = 1, by safeguarded Newton and secant in u = ln lambda.
 
-    g(u) = ln F_n(e^u) is strictly decreasing.  The secant (``_secant``)
-    runs twice, on a fresh bracket [0.3, 3] * lambda_cr each time:
+    g(u) = ln F_n(e^u) is strictly decreasing.  ``_secant`` runs twice, on a
+    fresh bracket [0.3, 3] * lambda_cr each time:
 
-    1. on the saddle-point form ``fn_saddle_asymptotic``, from lambda_cr with
-       the saddle slope dg/du ~ -n gamma_cr, until |g| is below that
-       route's own err_ln.  This makes no contour call.
-    2. on the contour oracle, from phase 1's u with its last secant slope,
-       until |g| < 1e-10.
+    1. secant steps on the saddle-point route ``fn_saddle_asymptotic``, from
+       the root u_cr - ln(2 pi n) / (2 n gamma_cr) of its leading terms
+       n ln L - (1/2) ln(2 pi n) linearised at lambda_cr, with the saddle
+       slope dg/du ~ -n gamma_cr, until |g| < 1e-14 n, the rounding of
+       n ln L near lambda_cr (ln Gamma is good to ~8e-15 absolute there).
+       This makes no contour call.  Near lambda_cr the route is within
+       0.003 / n^3 of ln F_n, so from n ~ 340 up phase 2 ends at its first
+       call.
+    2. Newton steps on the contour oracle, with the slope d ln F_n / d ln
+       lambda that it returns, from phase 1's u, until |g| < 1e-10.
 
     Returns the first contour-evaluated lambda with |ln F_n(lambda)| <
     1e-10 or, where the contour's rounding over one ulp of lambda exceeds
@@ -224,15 +232,17 @@ def unit_crossing(n: int) -> float:
         raise ValueError("unit_crossing requires integer n >= 2")
     cp = critical_point()
     u_cr = math.log(cp.lambda_cr)
+    rounding = 1e-14 * n
 
     def saddle(u):
-        r = fn_saddle_asymptotic(n, math.exp(u))
-        return r.value.ln_value, r.err_ln
+        return fn_saddle_asymptotic(n, math.exp(u)).value.ln_value, rounding, None
 
     def contour(u):
-        return fn_contour(n, math.exp(u)).value.ln_value, 1e-10
+        r = fn_contour(n, math.exp(u))
+        return r.value.ln_value, 1e-10, r.slope
 
-    u, slope = _secant(saddle, u_cr, -n * cp.gamma_cr, u_cr)
+    u = u_cr - math.log(2.0 * math.pi * n) / (2.0 * n * cp.gamma_cr)
+    u, slope = _secant(saddle, u, -n * cp.gamma_cr, u_cr)
     u, _ = _secant(contour, u, slope, u_cr)
     return math.exp(u)
 
@@ -269,14 +279,26 @@ def ensemble_comparison(
         c, alpha = float(radius_schedule[0]), float(radius_schedule[1])
         if not (math.isfinite(c) and c > 0.0):
             raise ValueError("schedule coefficient c must be positive")
+        if not math.isfinite(alpha):
+            raise ValueError(f"schedule exponent alpha must be finite, got {alpha!r}")
     ns = [int(v) for v in n_grid]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or any(v < 1 for v in ns):
         raise ValueError("n_grid must be strictly increasing positive integers")
+    lams = []
+    for n in ns:
+        try:
+            lam_eff = rho * c * n**alpha
+        except OverflowError:
+            lam_eff = math.inf
+        if not (math.isfinite(lam_eff) and lam_eff > 0.0):
+            raise ValueError(
+                f"lambda_eff = rho c n^alpha is {lam_eff!r} at n = {n}, not a finite positive double"
+            )
+        lams.append(lam_eff)
     weights = (1.0 / len(f),) * len(f)
     ln_psi = psi_theta(GrandEnsembleSpec(theta=theta, f=tuple(f), weights=weights)).ln_value
     rows = []
-    for n in ns:
-        lam_eff = rho * c * n**alpha
+    for n, lam_eff in zip(ns, lams):
         ln_f = fn_contour(n, lam_eff).value.ln_value
         rows.append(
             EnsembleRow(

@@ -9,7 +9,7 @@ out x_n (so F_1(lambda) = e^{-lambda}).  Four routes compute its log:
 * the inverse Mellin contour integral (any n), trapezoid on the vertical
   line through the saddle abscissa, its step halved from
   min(T/50, 2 pi gamma / ln 1e14) until the value settles;
-* the Gaussian saddle-point approximation (any n);
+* the saddle-point expansion through 1/n^2 (any n);
 
 plus a seeded Monte Carlo estimator (n <= 1000).  Quadrature and Monte Carlo
 read F_n as the grand-canonical product measure conditioned on sum x = 0.
@@ -22,7 +22,7 @@ is forced by the Mellin pair int_0^inf n F_n(lambda) lambda^{ns-1} dlambda
 = Gamma(s)^n: substituting u = lambda^n shows G(u) = F_n(u^{1/n}) has plain
 Mellin transform Gamma(s)^n.  The n = 1 and n = 2 closed forms confirm the
 normalisation to machine precision, and the same closed forms fix the
-Gaussian prefactor to 1/sqrt(2 pi n sigma):  at large lambda
+saddle-point prefactor to 1/sqrt(2 pi n sigma):  at large lambda
 F_2 ~ sqrt(pi/lambda) e^{-2 lambda} and L^2/sqrt(4 pi sigma) reproduces it
 exactly with sigma ~ 1/lambda.
 """
@@ -38,7 +38,7 @@ import numpy as np
 
 from .logvalue import LogValue
 from .saddle import SaddleSolution, solve_saddle
-from .specfun import _psi2_psi3, bessel_k0, ln_gamma_complex
+from .specfun import _psi2_to_psi5, bessel_k0, ln_gamma_complex
 
 
 class Method(str, enum.Enum):
@@ -53,11 +53,16 @@ class Method(str, enum.Enum):
 
 @dataclass(frozen=True)
 class OracleResult:
-    """A ln F_n estimate, an upper-bound claim on its absolute error, and its route."""
+    """A ln F_n estimate, an upper-bound claim on its absolute error, and its route.
+
+    ``slope`` is d ln F_n / d ln lambda where the route computes it (the
+    contour), else None.
+    """
 
     value: LogValue
     err_ln: float
     method: Method
+    slope: float | None = None
 
 
 def f1_exact(lam: float) -> OracleResult:
@@ -213,6 +218,11 @@ def fn_contour(n: int, lam: float) -> OracleResult:
     error claim is the last halving difference + exp(-2 pi gamma / h) +
     10 x (integrand at T) + 1e-12 (1 + |ln F|) + that rounding floor.
 
+    The same nodes give the slope: differentiating under the integral brings
+    down -n (gamma + it), and t Im exp(n phi(t)) is odd, so
+    d ln F_n / d ln lambda = -n (gamma - sum t Im I(t) / sum Re I(t)) over
+    the trapezoid's nodes, I(t) = exp(n (phi(t) - phi(0))).
+
     Raises RuntimeError when no candidate T truncates the integrand, and
     when the running trapezoid sum is not finite and positive (at large
     n lambda, rounding in n phi can exceed the exp range).
@@ -225,7 +235,7 @@ def fn_contour(n: int, lam: float) -> OracleResult:
     gamma, phi0 = sol.gamma, sol.ln_L
 
     def integrand(t):
-        """Re exp(n (phi(t) - phi(0))) at the nodes t; overflow is refused by ln_sum."""
+        """exp(n (phi(t) - phi(0))) at the nodes t; overflow is refused by ln_sum."""
         z = gamma + 1j * t
         with np.errstate(over="ignore"):
             # exp(n (ln Gamma(z) - z ln lambda - phi(0))), in place
@@ -234,7 +244,7 @@ def fn_contour(n: int, lam: float) -> OracleResult:
             v -= z
             v -= phi0
             v *= n
-            return np.exp(v, out=v).real
+            return np.exp(v, out=v)
 
     def ln_sum(acc, h):
         """ln (acc h), refusing a trapezoid sum that is not finite and positive."""
@@ -265,33 +275,40 @@ def fn_contour(n: int, lam: float) -> OracleResult:
     h = T / m
     # the m + 1 nodes of the first level and its m midpoints in one call: the
     # loop below always halves at least once
-    u = integrand(np.concatenate((np.arange(m + 1) * h, (np.arange(m) + 0.5) * h)))
-    # trapezoid on [-T, T] by symmetry: u(0) + u(T) + 2 sum of the interior nodes
+    t = np.concatenate((np.arange(m + 1) * h, (np.arange(m) + 0.5) * h))
+    v = integrand(t)
+    u, w = v.real, v.imag
+    # trapezoid on [-T, T] by symmetry: u(0) + u(T) + 2 sum of the interior
+    # nodes; t v(t) is odd in Re, so its sum is i (T w(T) + 2 sum t w(t))
     acc = float(u[0] + u[m] + 2.0 * u[1:m].sum())
     ln_s = ln_sum(acc, h)
+    t_acc = float(t[m] * w[m] + 2.0 * np.dot(t[1:m], w[1:m]))
     rounding = 1e-15 * n * (1.0 + abs(phi0) + gamma * abs(ln_lam))
     tol = 1e-13 * (1.0 + abs(n * phi0)) + rounding
-    mid = u[m + 1:]
+    t, u, w = t[m + 1:], u[m + 1:], w[m + 1:]
     while True:
-        acc += 2.0 * float(mid.sum())
+        acc += 2.0 * float(u.sum())
         h *= 0.5
         m *= 2
         ln_new = ln_sum(acc, h)
+        t_acc += 2.0 * float(np.dot(t, w))
         diff, ln_s = abs(ln_new - ln_s), ln_new
         if diff <= tol or 2 * m > _MAX_INTERVALS:
             break
-        mid = integrand((np.arange(m) + 0.5) * h)
+        t = (np.arange(m) + 0.5) * h
+        v = integrand(t)
+        u, w = v.real, v.imag
     ln_f = n * phi0 - math.log(2.0 * math.pi) + ln_s
     err = diff + math.exp(-2.0 * math.pi * gamma / h) + 10.0 * tail + 1e-12 * (1.0 + abs(ln_f)) + rounding
-    return OracleResult(LogValue(ln_f), err, Method.CONTOUR)
+    return OracleResult(LogValue(ln_f), err, Method.CONTOUR, -n * (gamma - t_acc / acc))
 
 
-# c of the asymptotic route's O(1/n^2) error term.  Where t1 - t2 changes
-# sign (lambda ~ 0.0944) the 1/n term vanishes; the deviation from the
-# contour route there, less the rest of the claim, is at most
-# 0.015-0.018 (|t1| + |t2|) / n^2 for every n from 1 to 1000 (3001 lambda in
-# [0.05, 0.2]; the worst is lambda = 0.09435 at each n).
-_ASYMPTOTIC_C = 0.1
+# C of the asymptotic route's claim C rho^6 / n^3.  n^3 |deviation| / rho^6
+# from 40-digit references (closed forms at n = 1, 2; the contour integral at
+# n = 3, 10, 40; 97 lambda in [1e-20, 1e4]) rose to 2.38e-4 as lambda -> inf,
+# where the deviation tends to 1/(36 gamma^3 n^3); it was 2e-6 to 1e-4 below
+# lambda = 10.
+_REMAINDER_C = 4e-4
 
 
 def _ln_l_rounding(n: int, sol: SaddleSolution) -> float:
@@ -306,33 +323,49 @@ def _check_n_ln_l(n: int, sol: SaddleSolution) -> None:
 
 
 def fn_saddle_asymptotic(n: int, lam: float) -> OracleResult:
-    """Gaussian saddle-point estimate ln F_n ~ n ln L - (1/2) ln(2 pi n sigma).
+    """Saddle-point estimate of ln F_n through the 1/n^2 term (Daniels 1954).
 
-    With t1 = psi'''/(8 sigma^2) and t2 = 5 psi''^2 / (24 sigma^3), psi''
-    and psi''' exact from their asymptotic series, the next-order term is
-    (t1 - t2)/n and the error claim is
+    With the standardised cumulants lambda_j = psi^(j-1)(gamma) / sigma^(j/2),
+    psi^(m) exact from their asymptotic series,
 
-        2 |t1 - t2| / n + c (|t1| + |t2|) / n^2 + 1e-10 + r,  c = 0.1,
+        ln F_n ~ n ln L - (1/2) ln(2 pi n sigma) + a/n + (b - a^2/2)/n^2,
+        a = lambda_4/8 - 5 lambda_3^2/24,
+        b = 385 lambda_3^4/1152 - 35 lambda_3^2 lambda_4/64 + 35 lambda_4^2/384
+            + 7 lambda_3 lambda_5/48 - lambda_6/48,
 
-    r = 1e-15 n (1 + |ln L| + 2 gamma |ln lambda|) being the rounding of n ln L.
-    The 1/n^2 term keeps the claim an upper bound near lambda ~ 0.0944,
-    where t1 - t2 changes sign and the 1/n term alone falls to zero; c is
-    more than five times the largest coefficient seen there.  Cross-oracle
-    tests confirm the claim from n = 1 to 1e5.
+    and the error claim is
+
+        C rho^6 / n^3 + 1e-10 + 1e-14 n + r,  C = 4e-4,
+        rho^2 = max(lambda_3^2, |lambda_4|, |lambda_5|^(2/3), |lambda_6|^(1/2)),
+
+    r = 1e-15 n (1 + |ln L| + 2 gamma |ln lambda|) being the rounding of n ln L
+    and 1e-14 n that of n ln Gamma(gamma), which is good to 8e-15 absolute, not
+    relative, on (0.5, 9.5): near lambda_cr, at n = 1e5 and 1e6, the value was
+    up to 5 r off a 40-digit evaluation of the same expansion before this term.
+    Every term of order 1/n^3 is a weight-6 product of the lambda_j, so rho^6
+    sets its size; C is measured (``_REMAINDER_C``).  Cross-oracle tests confirm
+    the claim from n = 1 to 1e5.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("fn_saddle_asymptotic requires integer n >= 1")
     lam = _check_lambda(lam)
     sol = solve_saddle(lam)
     _check_n_ln_l(n, sol)
-    ln_f = n * sol.ln_L - 0.5 * math.log(2.0 * math.pi * n * sol.sigma)
-    psi2, psi3 = _psi2_psi3(sol.gamma)
-    # sigma > 0 for every finite lambda; dividing by it twice, never by sigma^3,
-    # keeps both terms from underflowing to a division by zero
-    t1 = psi3 / sol.sigma / (8.0 * sol.sigma)
-    t2 = 5.0 * (psi2 / sol.sigma) ** 2 / (24.0 * sol.sigma)
-    err = 2.0 * abs(t1 - t2) / n + _ASYMPTOTIC_C * (abs(t1) + abs(t2)) / n**2 + 1e-10
-    err += _ln_l_rounding(n, sol)
+    psi2, psi3, psi4, psi5 = _psi2_to_psi5(sol.gamma)
+    # sigma > 0 for every finite lambda; dividing by it and its root one at a
+    # time, never by a power, keeps every lambda_j from a division by zero
+    sigma, root = sol.sigma, math.sqrt(sol.sigma)
+    l3 = psi2 / sigma / root
+    l4 = psi3 / sigma / sigma
+    l5 = psi4 / sigma / sigma / root
+    l6 = psi5 / sigma / sigma / sigma
+    a = l4 / 8.0 - 5.0 * l3 * l3 / 24.0
+    b = (385.0 * l3**4 / 1152.0 - 35.0 * l3 * l3 * l4 / 64.0 + 35.0 * l4 * l4 / 384.0
+         + 7.0 * l3 * l5 / 48.0 - l6 / 48.0)
+    ln_f = n * sol.ln_L - 0.5 * math.log(2.0 * math.pi * n * sigma)
+    ln_f += (a + (b - 0.5 * a * a) / n) / n
+    rho6 = max(l3 * l3, abs(l4), abs(l5) ** (2.0 / 3.0), math.sqrt(abs(l6))) ** 3
+    err = _REMAINDER_C * rho6 / n**3 + 1e-10 + 1e-14 * n + _ln_l_rounding(n, sol)
     return OracleResult(LogValue(ln_f), err, Method.ASYMPTOTIC)
 
 

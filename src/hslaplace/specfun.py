@@ -1,6 +1,6 @@
 """Special-function kernel: ln Gamma (real and complex), digamma, trigamma, K0.
 
-All four Gamma-family routines, and the private psi'' and psi''' pair, use
+All four Gamma-family routines, and the private psi'' to psi^(5) loop, use
 one scheme: shift the argument up by the recurrence until it is >= 10, then
 sum an asymptotic series with coefficients from one table of Bernoulli
 numbers.  That covers the whole positive axis (and the right half plane for
@@ -43,12 +43,13 @@ _TRIGAMMA_DOMAIN = f"trigamma requires x >= 1/sqrt(max float) = {_TRIGAMMA_MIN:.
 # m = -1 meaning ln Gamma, has the coefficients B_2k (2k+m-1)! / (2k)!; exact
 # int true division rounds once, so each equals its literal fraction.
 _BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510))
-_LNGAMMA_COEFF, _DIGAMMA_COEFF, _TRIGAMMA_COEFF, _PSI2_COEFF, _PSI3_COEFF = (
+(_LNGAMMA_COEFF, _DIGAMMA_COEFF, _TRIGAMMA_COEFF, _PSI2_COEFF, _PSI3_COEFF, _PSI4_COEFF,
+ _PSI5_COEFF) = (
     tuple(
         p * math.factorial(2 * k + m - 1) / (q * math.factorial(2 * k))
         for k, (p, q) in enumerate(_BERNOULLI, 1)
     )
-    for m in range(-1, 4)
+    for m in range(-1, 6)
 )
 
 
@@ -201,20 +202,37 @@ def trigamma(x):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def _psi2_psi3(x):
-    """psi''(x) and psi'''(x) of a float x > 0, unchecked (DLMF 5.15.8)."""
-    shift2 = shift3 = 0.0
+def _psi2_to_psi5(x):
+    """psi''(x), psi'''(x), psi^(4)(x) and psi^(5)(x) of a float x > 0, unchecked.
+
+    psi^(m)(x) = psi^(m)(x+1) - (-1)^m m!/x^(m+1) shifts x up to >= 10, where
+    (-1)^(m+1) psi^(m)(x) ~ (m-1)!/x^m + m!/(2 x^(m+1)) + sum_k c_k/x^(2k+m)
+    with c_k from the m-th Bernoulli table (DLMF 5.15.8).
+    """
+    shift2 = shift3 = shift4 = shift5 = 0.0
     while x < _SHIFT:
         x2 = x * x
+        x4 = x2 * x2
         shift2 -= 2.0 / (x2 * x)
-        shift3 += 6.0 / (x2 * x2)
+        shift3 += 6.0 / x4
+        shift4 -= 24.0 / (x4 * x)
+        shift5 += 120.0 / (x4 * x2)
         x += 1.0
     w = 1.0 / (x * x)
-    s2, s3 = _PSI2_COEFF[-1], _PSI3_COEFF[-1]
-    for c2, c3 in zip(_PSI2_COEFF[-2::-1], _PSI3_COEFF[-2::-1]):
+    s2, s3, s4, s5 = _PSI2_COEFF[-1], _PSI3_COEFF[-1], _PSI4_COEFF[-1], _PSI5_COEFF[-1]
+    for c2, c3, c4, c5 in zip(
+        _PSI2_COEFF[-2::-1], _PSI3_COEFF[-2::-1], _PSI4_COEFF[-2::-1], _PSI5_COEFF[-2::-1]
+    ):
         s2 = s2 * w + c2
         s3 = s3 * w + c3
-    return shift2 - w * (1.0 + 1.0 / x + s2 * w), shift3 + w / x * (2.0 + 3.0 / x + s3 * w)
+        s4 = s4 * w + c4
+        s5 = s5 * w + c5
+    return (
+        shift2 - w * (1.0 + 1.0 / x + s2 * w),
+        shift3 + w / x * (2.0 + 3.0 / x + s3 * w),
+        shift4 - w * w * (6.0 + 12.0 / x + s4 * w),
+        shift5 + w * w / x * (24.0 + 60.0 / x + s5 * w),
+    )
 
 
 def ln_gamma_complex(z):

@@ -131,11 +131,13 @@ def test_compare_exact_routes_agree(capsys):
     assert abs(closed - math.log(2.0 * 0.11389387274953344)) < 1e-9
 
 
+# the asymptotic cell at n = 40 was -7.6063989624689121e+00 before the route
+# gained its 1/n and 1/n^2 terms
 @pytest.mark.parametrize("argv, refused, row", [
     ("compare --n 40 --lambda 1 --samples 5000 --seed 3",
      "refused (monte-carlo): fn_montecarlo requires samples >= 10^4\n",
      "40,1.0000000000000000e+00,,-7.6057313734996121e+00,-7.6057313734996583e+00,,"
-     "-7.6063989624689121e+00,4.6185277824406512e-14\n"),
+     "-7.6057313295448479e+00,4.6185277824406512e-14\n"),
     ("compare --n 3 --lambda 1e8 --tol 1e-2",
      "refused (quadrature): tol must lie in [1e-12, 1e-3]\n",
      "3,1.0000000000000000e+08,,,-3.0000001713211024e+08,,-3.0000001713210988e+08,"
@@ -289,6 +291,21 @@ def test_ensemble_empty_grid_exits_one(capsys):
     assert err.startswith("error (ensemble): n_grid")
 
 
+@pytest.mark.parametrize("alpha, message", [
+    # 5**1000 ended in an uncaught OverflowError traceback
+    ("1000", "error (ensemble): lambda_eff = rho c n^alpha is inf at n = 5"),
+    # nan reached the contour as "lambda must be a finite positive real"
+    ("nan", "error (ensemble): schedule exponent alpha must be finite"),
+])
+def test_ensemble_bad_schedule_exits_one(capsys, alpha, message):
+    code, out, err = run_cli(
+        capsys, "ensemble", "--f", "1,2", "--radius-c", "1", "--radius-alpha", alpha,
+        "--epsilon", "0.02", "--n-grid", "5,10",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith(message)
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "--n", "2"])  # missing --lambda
@@ -346,20 +363,23 @@ GOLDEN = [
     ("oracle --method contour --n 2 --lambda 1",
      "n,lambda,method,ln_F,err_est\n"
      "2,1.0000000000000000e+00,contour,-1.4793410244157656e+00,2.5466180848333038e-12\n"),
+    # the asymptotic cells moved when the route gained its 1/n and 1/n^2 terms;
+    # before: ln_F -1.4920537853295990e+00, err_est 3.6436301400353387e-02 at
+    # n = 2, lambda = 1, and 2.9940754186781393e-01 at n = 3, lambda = 0.5
     ("oracle --method asymptotic --n 2 --lambda 1",
      "n,lambda,method,ln_F,err_est\n"
-     "2,1.0000000000000000e+00,asymptotic,-1.4920537853295990e+00,3.6436301400353387e-02\n"),
+     "2,1.0000000000000000e+00,asymptotic,-1.4791528889683918e+00,2.6979759392741090e-03\n"),
     ("oracle --method monte-carlo --n 2 --lambda 1 --samples 20000 --seed 3",
      "n,lambda,method,ln_F,err_est\n"
      "2,1.0000000000000000e+00,monte-carlo,-1.4826168743758528e+00,3.2125650769621217e-03\n"),
     ("compare --n 2 --lambda 1",
      "n,lambda,closed-form,quadrature,contour,monte-carlo,asymptotic,max_pairwise_dev\n"
      "2,1.0000000000000000e+00,-1.4793410244157648e+00,-1.4793410244157648e+00,"
-     "-1.4793410244157656e+00,,-1.4920537853295990e+00,8.8817841970012523e-16\n"),
+     "-1.4793410244157656e+00,,-1.4791528889683918e+00,8.8817841970012523e-16\n"),
     ("compare --n 3 --lambda 0.5 --samples 20000 --seed 3",
      "n,lambda,closed-form,quadrature,contour,monte-carlo,asymptotic,max_pairwise_dev\n"
      "3,5.0000000000000000e-01,,3.0947544338275979e-01,3.0947544338276128e-01,"
-     "3.1184150470565286e-01,2.9940754186781393e-01,1.4988010832439613e-15\n"),
+     "3.1184150470565286e-01,3.0975048348543655e-01,1.4988010832439613e-15\n"),
     ("ensemble --f 1,2,3 --epsilon 0.02 --n-grid 5,10,20",
      "n,lambda_eff,ln_dn_per_n,regime,ln_psi_theta\n"
      "5,1.8171205928321394e+00,-1.5026061269302200e+00,vanishes,-5.9725315640935162e-01\n"

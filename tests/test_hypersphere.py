@@ -227,8 +227,10 @@ class TestUnitCrossing:
             lam_n = unit_crossing(n)
             assert abs(fn_contour(n, lam_n).value.ln_value) < 1e-9
 
-    # contour calls per crossing: the saddle-point run leaves 1-3 to the contour
-    CALL_BUDGET = {2: 5, 3: 5, 5: 4, 10: 4, 30: 3, 40: 3, 10000: 3}
+    # contour calls per crossing: the saddle-point run through 1/n^2 leaves
+    # Newton 1-3 contour calls, one from n ~ 340 up (the secant on the route
+    # through 1/n took up to 5 at n <= 3, 4 at n = 5 and 10, 3 from n = 30)
+    CALL_BUDGET = {2: 3, 3: 3, 5: 3, 10: 2, 30: 2, 40: 2, 1000: 1, 10000: 1}
 
     @pytest.mark.parametrize("n", sorted(CALL_BUDGET))
     def test_few_contour_calls(self, monkeypatch, n):
@@ -401,6 +403,12 @@ class TestEnsembleComparison:
             ensemble_comparison((1.0,), 1.0, (-1.0, 0.0), (2, 3), epsilon=0.05)
         with pytest.raises(ValueError):
             ensemble_comparison((1.0,), 1.0, "pinned", (2, 3), epsilon=0.05)
+        # n^alpha overflowed (OverflowError) or underflowed to lambda_eff = 0
+        for alpha in (1000.0, -1000.0):
+            with pytest.raises(ValueError, match="at n = 5"):
+                ensemble_comparison((1.0,), 1.0, (1.0, alpha), (5, 10), epsilon=0.05)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            ensemble_comparison((1.0,), 1.0, (1.0, math.nan), (5, 10), epsilon=0.05)
         # an empty grid used to return [] without checking epsilon
         with pytest.raises(ValueError, match="n_grid"):
             ensemble_comparison((1.0, 2.0), 1.0, (1.0, 0.0), (), epsilon=-1.0)

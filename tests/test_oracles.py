@@ -9,7 +9,8 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.special
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hslaplace.oracles
@@ -466,6 +467,120 @@ class TestSaddleAsymptotic:
                 c = fn_contour(n, lam)
                 diff = abs(a.value.ln_value - c.value.ln_value)
                 assert diff <= a.err_ln + c.err_ln, (n, lam, diff, a.err_ln)
+
+
+# ln F_n(lambda), mpmath 1.3.0, 40 digits: -lambda at n = 1, ln(2 K0(2 lambda))
+# at n = 2, the contour integral of Gamma(gamma + it)^n lambda^{-n(gamma + it)}
+# on the saddle line at n >= 3
+LN_F_BAND = {
+    (1, 1e-20): "-9.999999999999999451532714542095716517295e-21",
+    (1, 1e-3): "-0.001000000000000000020816681711721685132943",
+    (1, 0.0944): "-0.09439999999999999780175841124219004996121",
+    (1, 1.0): "-1.0",
+    (2, 1e-20): "4.510298606274229415359191313009190373118",
+    (2, 1e-3): "2.538533818136902149642192805717684569747",
+    (2, 0.0944): "1.285293269120460964792220989798721501754",
+    (2, 1.0): "-1.479341024415764625321181214979002663364",
+    (3, 1e-20): "9.138645363063431312392965466375489163805",
+    (3, 1e-3): "5.208437482845788361082476616868390806055",
+    (3, 0.0944): "2.817838459629957894616116209856094173383",
+    (3, 1.0): "-1.807635183649041844464035182530794820288",
+    (10, 1e-20): "42.2786418516567337022174865759324664796",
+    (10, 1e-3): "24.66642221932906172841739914845436904849",
+    (10, 0.0944): "14.378938494117217554537982937604877907",
+    (10, 1.0): "-3.266009341865721601038912551275033399238",
+    (40, 1e-20): "186.1180249997997824794287414940985072799",
+    (40, 1e-3): "109.8927087522600200210227796774854137847",
+    (40, 0.0944): "65.82152382001833374277837663354221331796",
+    (40, 1.0): "-7.605731373499615514242617170108166834059",
+    (100, 1e-20): "474.7137971193490747485579300090213802821",
+    (100, 1e-3): "281.2655758280806768250436191181624744136",
+    (100, 0.0944): "169.6351935572924042172918390737680778437",
+    (100, 1.0): "-15.35345442493380294688782017995612881182",
+    (300, 1e-20): "1437.673970734052673482415716708740232167",
+    (300, 1e-3): "853.4837684928595035485071870589798990346",
+    (300, 0.0944): "516.6586362440844534216556546564897225544",
+    (300, 1.0): "-40.20019685706697470148471910829796642373",
+}
+
+
+def _n3_deviation(n, lam):
+    """n^3 (exact - asymptotic) and n^3 times the route's rounding term."""
+    a = fn_saddle_asymptotic(n, lam)
+    rounding = hslaplace.oracles._ln_l_rounding(n, solve_saddle(lam))
+    return n**3 * float(Decimal(LN_F_BAND[n, lam]) - Decimal(a.value.ln_value)), n**3 * rounding
+
+
+class TestSaddleAsymptoticThroughOneOverNSquared:
+    """The route through 1/n^2 is off by O(1/n^3), and its claim says so."""
+
+    @pytest.mark.parametrize("n, lam", sorted(LN_F_BAND))
+    def test_n3_deviation_stays_in_its_band(self, n, lam):
+        # -0.0029 to +0.0045 here; the route through 1/n was off by 8e-2 at n = 1
+        dev, rounding = _n3_deviation(n, lam)
+        assert abs(dev) <= 0.005 + rounding
+        assert abs(dev) / n**3 <= fn_saddle_asymptotic(n, lam).err_ln
+
+    @pytest.mark.parametrize("lam", [1e-20, 1e-3, 0.0944, 1.0])
+    def test_n3_deviation_levels_off(self, lam):
+        # a wrong 1/n^2 coefficient would leave n^3 (exact - asymptotic) growing like n
+        (d100, r100), (d300, r300) = _n3_deviation(100, lam), _n3_deviation(300, lam)
+        assert abs(d300 - d100) <= 2e-4 + r100 + r300
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=1, max_value=100_000), st.floats(min_value=-20.0, max_value=8.0))
+    @example(40, 0.0)
+    @example(10_000, 0.0)
+    @example(10_000, -1.025)  # lambda ~ 0.0944, where the 1/n term changes sign
+    def test_claim_covers_the_contour(self, n, exponent):
+        lam = 10.0**exponent
+        try:
+            c = fn_contour(n, lam)
+        except RuntimeError:
+            assume(False)
+        a = fn_saddle_asymptotic(n, lam)
+        assert abs(a.value.ln_value - c.value.ln_value) <= a.err_ln + c.err_ln
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2]), st.floats(min_value=-20.0, max_value=8.0))
+    def test_claim_covers_the_closed_forms(self, n, exponent):
+        lam = 10.0**exponent
+        a, r = fn_saddle_asymptotic(n, lam), _closed_form(n, lam)
+        assert abs(a.value.ln_value - r.value.ln_value) <= a.err_ln + r.err_ln
+
+
+class TestContourSlope:
+    """d ln F_n / d ln lambda from the contour's own nodes."""
+
+    @staticmethod
+    def _scale(n, lam, ref):
+        # the slope is -n gamma plus a moment ratio of the same size
+        return n * solve_saddle(lam).gamma + abs(ref)
+
+    @pytest.mark.parametrize("lam", np.logspace(-20, 8, 15))
+    def test_n1_is_minus_lambda(self, lam):
+        res = fn_contour(1, lam)
+        assert abs(res.slope + lam) <= 1e-11 * self._scale(1, lam, lam)
+
+    @pytest.mark.parametrize("lam", np.logspace(-20, 8, 15))
+    def test_n2_is_the_bessel_ratio(self, lam):
+        # d ln K0(2 lambda) / d ln lambda = -2 lambda K1(2 lambda) / K0(2 lambda)
+        ref = -2.0 * lam * scipy.special.k1e(2.0 * lam) / scipy.special.k0e(2.0 * lam)
+        res = fn_contour(2, lam)
+        assert abs(res.slope - ref) <= 1e-11 * self._scale(2, lam, ref)
+
+    @pytest.mark.parametrize("n", [40, 1000])
+    @pytest.mark.parametrize("lam", [1e-3, 0.0944, 0.918, 50.0])
+    def test_central_difference(self, n, lam):
+        h = 1e-5
+        up, down = fn_contour(n, lam * math.exp(h)), fn_contour(n, lam * math.exp(-h))
+        diff = (up.value.ln_value - down.value.ln_value) / (2.0 * h)
+        assert abs(fn_contour(n, lam).slope - diff) <= 1e-8 * abs(diff)
+
+    def test_other_routes_carry_no_slope(self):
+        for res in (f1_exact(1.0), f2_exact(1.0), fn_quadrature(3, 1.0),
+                    fn_saddle_asymptotic(3, 1.0), fn_montecarlo(3, 1.0, 10_000, 0)):
+            assert res.slope is None
 
 
 class TestPerDimensionRateConvergence:

@@ -275,6 +275,11 @@ class TestBernoulliTables:
                          5.0 / 6.0, -691.0 / 210.0, 35.0 / 2.0, -3617.0 / 30.0)),
         ("_PSI3_COEFF", (2.0, -1.0, 4.0 / 3.0, -3.0,
                          10.0, -691.0 / 15.0, 280.0, -10851.0 / 5.0)),
+        # B_2k (2k + 1)(2k + 2)(2k + 3) and B_2k (2k + 1)(2k + 2)(2k + 3)(2k + 4)
+        ("_PSI4_COEFF", (10.0, -7.0, 12.0, -33.0,
+                         130.0, -691.0, 4760.0, -206169.0 / 5.0)),
+        ("_PSI5_COEFF", (60.0, -56.0, 120.0, -396.0,
+                         1820.0, -11056.0, 85680.0, -824676.0)),
     ])
     def test_derived_table_equals_the_literal_fractions(self, table, literals):
         assert getattr(specfun, table) == literals
@@ -302,9 +307,35 @@ PSI2_PSI3_REFERENCE = [
 
 @pytest.mark.parametrize("x,psi2,psi3", PSI2_PSI3_REFERENCE)
 def test_psi2_psi3_against_mpmath(x, psi2, psi3):
-    got2, got3 = specfun._psi2_psi3(x)
+    got2, got3, _, _ = specfun._psi2_to_psi5(x)
     assert abs(got2 - float(psi2)) <= 1e-13 * abs(float(psi2))
     assert abs(got3 - float(psi3)) <= 1e-13 * abs(float(psi3))
+
+
+# psi^(4)(x) and psi^(5)(x): frozen mpmath polygamma(4, x) and polygamma(5, x),
+# 40 significant digits; 1.4616 is near the minimum of Gamma
+PSI4_PSI5_REFERENCE = [
+    (1e-3, "-24000000000000022.26654531459137268558559",
+     "119999999999999985133.3468470753527660175"),
+    (0.5, "-771.4742498266672251905359219240334210345",
+     "7691.113548602435496241755549219359190938"),
+    (1.4616, "-3.935040877560242850508500580464472965151",
+     "12.94055722392193008389621443387854864881"),
+    (9.99, "-0.0007329986441825547378080551340161444436132",
+     "0.00030755170866456328921214527056782314359"),
+    (10.0, "-0.0007299311682352866345036030927121823110961",
+     "0.0003059451621172682090485824456222941317775"),
+    (1e3, "-6.012009999993000011999967000129999309005e-12",
+     "2.406005999994400011999960400181998894409e-14"),
+]
+
+
+@pytest.mark.parametrize("x,psi4,psi5", PSI4_PSI5_REFERENCE)
+def test_psi4_psi5_against_mpmath(x, psi4, psi5):
+    # the series stops at B_16: its next term is 4e-13 of psi^(5)(10)
+    _, _, got4, got5 = specfun._psi2_to_psi5(x)
+    assert abs(got4 - float(psi4)) <= 1e-13 * abs(float(psi4))
+    assert abs(got5 - float(psi5)) <= 1e-12 * abs(float(psi5))
 
 
 def _series_array_reference(z, *series):
