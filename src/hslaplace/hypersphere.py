@@ -25,7 +25,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .logvalue import LogValue
-from .oracles import Method, OracleResult, evaluate, fn_contour, fn_saddle_asymptotic
+from .oracles import (
+    Method,
+    OracleResult,
+    _check_n,
+    evaluate,
+    fn_contour,
+    fn_saddle_asymptotic,
+)
 from .saddle import critical_point
 
 
@@ -228,8 +235,7 @@ def unit_crossing(n: int) -> float:
     1e-10 (n of a few 1e5 and up) and the bracket closes on
     two adjacent doubles, the one of the two with the smaller |ln F_n|.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError("unit_crossing requires integer n >= 2")
+    _check_n(n, 2, "unit_crossing")
     cp = critical_point()
     u_cr = math.log(cp.lambda_cr)
     rounding = 1e-14 * n
@@ -284,6 +290,8 @@ def ensemble_comparison(
     ns = [int(v) for v in n_grid]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or any(v < 1 for v in ns):
         raise ValueError("n_grid must be strictly increasing positive integers")
+    for n in ns:
+        _check_n(n, 1, "ensemble_comparison")
     lams = []
     for n in ns:
         try:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -135,8 +136,7 @@ def fn_quadrature(n: int, lam: float, tol: float = 1e-9) -> OracleResult:
     n tol e^-10 + 1e-14 (1 + |ln F|) + 1e-15 n.  Raises RuntimeError past the
     2^19-node cap (``ROUTES`` stops at n = 1000, where lambda in [1e-20, 1e8]
     stays under it), ValueError where ln F_n < -max float."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError("fn_quadrature requires integer n >= 2")
+    _check_n(n, 2, "fn_quadrature")
     lam = _check_lambda(lam)
     if not 1e-12 <= tol <= 1e-3:
         raise ValueError("tol must lie in [1e-12, 1e-3]")
@@ -180,18 +180,62 @@ def fn_quadrature(n: int, lam: float, tol: float = 1e-9) -> OracleResult:
 
 # The contour line is cut at the first T = T0 * 1.5^k at which the
 # integrand has dropped below e^-_LN_EPS of the peak, and the first step aims
-# at a discretisation error of e^-_LN_EPS too.  The candidates are tried
-# in batches of _EDGE_CANDIDATES, one ln Gamma array call per batch.  The
-# first batch covers every lambda from the smallest positive double up to
-# 1e18 for n <= 1e6; beyond that rounding in phi swamps the decay and later
-# batches may be needed, up to 200 candidates in all.
+# at a discretisation error of e^-_LN_EPS too.  |Gamma(gamma + iT) /
+# Gamma(gamma)|^2 is the product of 1 / (1 + T^2 / (gamma + j)^2) over j >= 0
+# (DLMF 5.8.3); its first _EXACT_TERMS factors and integral bounds on the rest
+# pick the edge k among the first _EDGE_CANDIDATES candidates before any
+# ln Gamma call, and one array call then evaluates the candidates up to k with
+# the first level's nodes.  Where the bounds cannot decide, or rounding in
+# n phi moves the computed edge, the candidates are tried in batches of
+# _EDGE_CANDIDATES, one ln Gamma array call per batch.  The first batch covers
+# every lambda from the smallest positive double up to 1e18 for n <= 1e6;
+# beyond that rounding in phi swamps the decay and later batches may be
+# needed, up to 200 candidates in all.
 # The trapezoid on the half line [0, T] starts with at least _MIN_INTERVALS
 # intervals and halves h up to _MAX_INTERVALS (16 001 nodes on the full line).
 _LN_EPS = math.log(1e14)
 _EDGE_CANDIDATES = 25
 _EDGE_BATCHES = 8
+_EXACT_TERMS = 4
 _MIN_INTERVALS = 50
 _MAX_INTERVALS = 8000
+
+
+def _drop_bounds(gamma: float, T: float) -> tuple[float, float]:
+    """Lower and upper bounds on S(T) = -2 Re (ln Gamma(gamma + iT) - ln Gamma(gamma)).
+
+    S(T) = sum_{j >= 0} log1p(T^2 / (gamma + j)^2) (DLMF 5.8.3).  The first
+    _EXACT_TERMS terms are summed; the rest decrease in j, so they lie between
+    R(gamma + _EXACT_TERMS) and R(gamma + _EXACT_TERMS - 1), with
+    R(y) = int_y^inf log1p(T^2 / x^2) dx = 2 T atan(T / y) - y log1p(T^2 / y^2),
+    a form that does not cancel when T << y."""
+    head = 0.0
+    for j in range(_EXACT_TERMS):
+        x = T / (gamma + j)
+        head += math.log1p(x * x)
+    bounds = []
+    for y in (gamma + _EXACT_TERMS, gamma + _EXACT_TERMS - 1):
+        x = T / y
+        bounds.append(head + 2.0 * T * math.atan(x) - y * math.log1p(x * x))
+    return bounds[0], bounds[1]
+
+
+def _edge_index(n: int, gamma: float, candidates) -> int | None:
+    """The first index k at which the contour integrand is below e^-_LN_EPS of
+    its peak, n S(T_k) / 2 > _LN_EPS, where ``_drop_bounds`` decides it, else None.
+
+    Candidate 0, T0 = 8 / sqrt(n sigma), never passes: log1p(x) <= x gives
+    n S(T0) / 2 <= n sigma T0^2 / 2 = 32 < _LN_EPS.  k >= 1 is returned when
+    its lower bound passes and, unless k = 1, the upper bound at k - 1 does not.
+    """
+    need = 2.0 * _LN_EPS / n
+    upper = 0.0  # the upper bound at candidate 0, which never passes
+    for k in range(1, len(candidates)):
+        lower, next_upper = _drop_bounds(gamma, float(candidates[k]))
+        if lower > need:
+            return k if upper <= need else None
+        upper = next_upper
+    return None
 
 
 def fn_contour(n: int, lam: float) -> OracleResult:
@@ -206,8 +250,13 @@ def fn_contour(n: int, lam: float) -> OracleResult:
 
     The line passes through the saddle abscissa gamma and is cut at the
     first T of T0 * 1.5^k, T0 = 8 / sqrt(n sigma), at which the integrand
-    has dropped below 1e-14 of the peak (one array call per batch of 25
-    candidates).  The integrand is conjugate symmetric, so only [0, T] is
+    has dropped below 1e-14 of the peak.  Bounds on |Gamma(gamma + iT) /
+    Gamma(gamma)| from its product form (``_edge_index``) usually pick k
+    before any ln Gamma call; then one array call evaluates the candidates
+    up to k and the first level's nodes, and the computed edges must pick
+    the same k.  Otherwise the candidates are tried 25 at a time, one array
+    call per batch, and the first level takes a call of its own.  The
+    integrand is conjugate symmetric, so only [0, T] is
     summed and the imaginary part vanishes.  The trapezoid error on a line
     at distance gamma from the pole of Gamma at s = 0 is about
     exp(-2 pi gamma / h) (Trefethen & Weideman, SIAM Rev. 56, 2014), so h
@@ -216,7 +265,10 @@ def fn_contour(n: int, lam: float) -> OracleResult:
     most 1e-13 (1 + |n phi(0)|) plus a rounding floor
     1e-15 n (1 + |phi(0)| + gamma |ln lambda|), or h reaches T/8000.  The
     error claim is the last halving difference + exp(-2 pi gamma / h) +
-    10 x (integrand at T) + 1e-12 (1 + |ln F|) + that rounding floor.
+    10 x (integrand at T) + 1e-12 (1 + |ln F|) + that rounding floor +
+    1e-14 n, the error of n ln Gamma(gamma) in n phi(0): ln Gamma is good to
+    8e-15 absolute, not relative, on (0.5, 9.5), and near lambda_cr at
+    n = 1e5 the value was 1.5 times the claim off without this term.
 
     The same nodes give the slope: differentiating under the integral brings
     down -n (gamma + it), and t Im exp(n phi(t)) is odd, so
@@ -227,19 +279,22 @@ def fn_contour(n: int, lam: float) -> OracleResult:
     when the running trapezoid sum is not finite and positive (at large
     n lambda, rounding in n phi can exceed the exp range).
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("fn_contour requires integer n >= 1")
+    _check_n(n, 1, "fn_contour")
     lam = _check_lambda(lam)
     ln_lam = math.log(lam)
     sol = solve_saddle(lam)
     gamma, phi0 = sol.gamma, sol.ln_L
 
-    def integrand(t):
-        """exp(n (phi(t) - phi(0))) at the nodes t; overflow is refused by ln_sum."""
+    def integrand(t, v=None):
+        """exp(n (phi(t) - phi(0))) at the nodes t; overflow is refused by ln_sum.
+
+        ``v`` holds ln Gamma(gamma + it) where a caller has computed it; it is
+        overwritten."""
         z = gamma + 1j * t
         with np.errstate(over="ignore"):
             # exp(n (ln Gamma(z) - z ln lambda - phi(0))), in place
-            v = ln_gamma_complex(z)
+            if v is None:
+                v = ln_gamma_complex(z)
             z *= ln_lam
             v -= z
             v -= phi0
@@ -255,28 +310,47 @@ def fn_contour(n: int, lam: float) -> OracleResult:
             )
         return math.log(acc * h)
 
-    powers = np.arange(_EDGE_CANDIDATES)
-    for batch in range(_EDGE_BATCHES):
-        candidates = 8.0 / math.sqrt(n * sol.sigma) * 1.5 ** (powers + batch * powers.size)
-        edges = n * (ln_gamma_complex(gamma + 1j * candidates).real - gamma * ln_lam - phi0)
-        below = (edges < -_LN_EPS).nonzero()[0]
-        if below.size:
-            break
-    else:
-        raise RuntimeError(f"failed to truncate the contour integrand at n = {n}, "
-                           f"lambda = {lam!r}")
-    T = float(candidates[below[0]])
-    tail = math.exp(edges[below[0]])
+    def first_level(T):
+        """m and h of the first level, and its m + 1 nodes followed by its m
+        midpoints: the loop below always halves at least once."""
+        m = min(
+            max(_MIN_INTERVALS, math.ceil(T * _LN_EPS / (2.0 * math.pi * gamma))),
+            _MAX_INTERVALS // 2,
+        )
+        h = T / m
+        return m, h, np.concatenate((np.arange(m + 1) * h, (np.arange(m) + 0.5) * h))
 
-    m = min(
-        max(_MIN_INTERVALS, math.ceil(T * _LN_EPS / (2.0 * math.pi * gamma))),
-        _MAX_INTERVALS // 2,
-    )
-    h = T / m
-    # the m + 1 nodes of the first level and its m midpoints in one call: the
-    # loop below always halves at least once
-    t = np.concatenate((np.arange(m + 1) * h, (np.arange(m) + 0.5) * h))
-    v = integrand(t)
+    def edges_of(ln_gamma_values):
+        """n (Re phi(T) - phi(0)) at the candidate edges and the first below -_LN_EPS."""
+        edges = n * (ln_gamma_values.real - gamma * ln_lam - phi0)
+        below = (edges < -_LN_EPS).nonzero()[0]
+        return edges, int(below[0]) if below.size else None
+
+    powers = np.arange(_EDGE_CANDIDATES)
+    t0 = 8.0 / math.sqrt(n * sol.sigma)
+    candidates = t0 * 1.5 ** powers
+    k = _edge_index(n, gamma, candidates)
+    v = None
+    if k is not None:
+        m, h, t = first_level(float(candidates[k]))
+        values = ln_gamma_complex(gamma + 1j * np.concatenate((candidates[:k + 1], t)))
+        edges, first = edges_of(values[:k + 1])
+        if first == k:
+            v = integrand(t, values[k + 1:])
+    if v is None:
+        # the bounds did not decide, or rounding moved the computed edge
+        for batch in range(_EDGE_BATCHES):
+            candidates = t0 * 1.5 ** (powers + batch * powers.size)
+            edges, k = edges_of(ln_gamma_complex(gamma + 1j * candidates))
+            if k is not None:
+                break
+        else:
+            raise RuntimeError(f"failed to truncate the contour integrand at n = {n}, "
+                               f"lambda = {lam!r}")
+        m, h, t = first_level(float(candidates[k]))
+        v = integrand(t)
+    tail = math.exp(edges[k])
+
     u, w = v.real, v.imag
     # trapezoid on [-T, T] by symmetry: u(0) + u(T) + 2 sum of the interior
     # nodes; t v(t) is odd in Re, so its sum is i (T w(T) + 2 sum t w(t))
@@ -299,7 +373,8 @@ def fn_contour(n: int, lam: float) -> OracleResult:
         v = integrand(t)
         u, w = v.real, v.imag
     ln_f = n * phi0 - math.log(2.0 * math.pi) + ln_s
-    err = diff + math.exp(-2.0 * math.pi * gamma / h) + 10.0 * tail + 1e-12 * (1.0 + abs(ln_f)) + rounding
+    err = (diff + math.exp(-2.0 * math.pi * gamma / h) + 10.0 * tail + 1e-12 * (1.0 + abs(ln_f))
+           + rounding + 1e-14 * n)
     return OracleResult(LogValue(ln_f), err, Method.CONTOUR, -n * (gamma - t_acc / acc))
 
 
@@ -346,8 +421,7 @@ def fn_saddle_asymptotic(n: int, lam: float) -> OracleResult:
     sets its size; C is measured (``_REMAINDER_C``).  Cross-oracle tests confirm
     the claim from n = 1 to 1e5.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("fn_saddle_asymptotic requires integer n >= 1")
+    _check_n(n, 1, "fn_saddle_asymptotic")
     lam = _check_lambda(lam)
     sol = solve_saddle(lam)
     _check_n_ln_l(n, sol)
@@ -365,7 +439,9 @@ def fn_saddle_asymptotic(n: int, lam: float) -> OracleResult:
     ln_f = n * sol.ln_L - 0.5 * math.log(2.0 * math.pi * n * sigma)
     ln_f += (a + (b - 0.5 * a * a) / n) / n
     rho6 = max(l3 * l3, abs(l4), abs(l5) ** (2.0 / 3.0), math.sqrt(abs(l6))) ** 3
-    err = _REMAINDER_C * rho6 / n**3 + 1e-10 + 1e-14 * n + _ln_l_rounding(n, sol)
+    # past n ~ 5.6e102, n^3 is no double (int / float would raise OverflowError)
+    err = _REMAINDER_C * rho6 / min(n**3, sys.float_info.max) + 1e-10 + 1e-14 * n
+    err += _ln_l_rounding(n, sol)
     return OracleResult(LogValue(ln_f), err, Method.ASYMPTOTIC)
 
 
@@ -380,8 +456,7 @@ def fn_montecarlo(n: int, lam: float, samples: int, seed: int) -> OracleResult:
     underflow; the n - 1 ln U sum to minus one Gamma(n - 1) draw.  Memory is
     O(samples); err_ln is one standard error + the rounding of n ln L.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError("fn_montecarlo requires integer n >= 2")
+    _check_n(n, 2, "fn_montecarlo")
     lam = _check_lambda(lam)
     if samples < 10_000:
         raise ValueError("fn_montecarlo requires samples >= 10^4")
@@ -507,6 +582,15 @@ def cross_check(
             if refused else f"no exact route covers n = {n}"
         )
     return results, refusals, max(abs(a - b) for a in exact for b in exact)
+
+
+def _check_n(n, n_min: int, route: str) -> None:
+    """Refuse, naming the route, an n that is not an integer >= n_min or that
+    exceeds the largest double (every route computes with float(n))."""
+    if not isinstance(n, (int, np.integer)) or n < n_min:
+        raise ValueError(f"{route} requires integer n >= {n_min}")
+    if n > sys.float_info.max:
+        raise ValueError(f"{route} requires n <= max float, got n = {n}")
 
 
 def _check_lambda(lam) -> float:

@@ -306,6 +306,28 @@ def test_ensemble_bad_schedule_exits_one(capsys, alpha, message):
     assert err.startswith(message)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "--method", "contour"], "error (oracle): fn_contour requires n <= max float"),
+    (["oracle", "--method", "asymptotic"],
+     "error (oracle): fn_saddle_asymptotic requires n <= max float"),
+    (["compare"], "error (compare): every exact route refused: contour: fn_contour requires n"),
+])
+def test_an_n_beyond_the_largest_double_exits_one(capsys, argv, message):
+    # each ended in an uncaught OverflowError traceback
+    code, out, err = run_cli(capsys, *argv, "--n", str(10**400), "--lambda", "1")
+    assert code == 1 and out == ""
+    assert err.startswith(message)
+
+
+def test_ensemble_with_an_n_beyond_the_largest_double_exits_one(capsys):
+    # it said "lambda_eff = rho c n^alpha is inf" although n^0 = 1
+    code, out, err = run_cli(
+        capsys, "ensemble", "--f", "1,2", "--epsilon", "0.02", "--n-grid", f"5,{10**400}"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error (ensemble): ensemble_comparison requires n <= max float")
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "--n", "2"])  # missing --lambda
@@ -352,7 +374,8 @@ def test_bad_grid_exits_one(capsys):
 # 3.0947544338276034e-01 -> 3.0947544338275979e-01 and the deviation
 # 9.4368957093138306e-16 -> 1.4988010832439613e-15.  The contour err_est
 # gained the rounding floor 1e-15 n (1 + |phi0| + gamma |ln lambda|)
-# (2.5443751122522321e-12 before).
+# (2.5443751122522321e-12 before), then 1e-14 n for the absolute error of
+# n ln Gamma(gamma) (2.5466180848333038e-12 before).
 GOLDEN = [
     ("oracle --method closed-form --n 2 --lambda 1",
      "n,lambda,method,ln_F,err_est\n"
@@ -362,7 +385,7 @@ GOLDEN = [
      "2,1.0000000000000000e+00,quadrature,-1.4793410244157648e+00,1.1759326976912736e-13\n"),
     ("oracle --method contour --n 2 --lambda 1",
      "n,lambda,method,ln_F,err_est\n"
-     "2,1.0000000000000000e+00,contour,-1.4793410244157656e+00,2.5466180848333038e-12\n"),
+     "2,1.0000000000000000e+00,contour,-1.4793410244157656e+00,2.5666180848333037e-12\n"),
     # the asymptotic cells moved when the route gained its 1/n and 1/n^2 terms;
     # before: ln_F -1.4920537853295990e+00, err_est 3.6436301400353387e-02 at
     # n = 2, lambda = 1, and 2.9940754186781393e-01 at n = 3, lambda = 0.5

@@ -306,6 +306,11 @@ class TestUnitCrossing:
         with pytest.raises(ValueError):
             unit_crossing(1)
 
+    def test_rejects_an_n_beyond_the_largest_double(self):
+        # it raised an uncaught OverflowError
+        with pytest.raises(ValueError, match="^unit_crossing requires n <= max float, got n = 10{400}$"):
+            unit_crossing(10**400)
+
 
 class TestPsiTheta:
     def test_flat_f_gives_zero(self):
@@ -409,6 +414,9 @@ class TestEnsembleComparison:
                 ensemble_comparison((1.0,), 1.0, (1.0, alpha), (5, 10), epsilon=0.05)
         with pytest.raises(ValueError, match="alpha must be finite"):
             ensemble_comparison((1.0,), 1.0, (1.0, math.nan), (5, 10), epsilon=0.05)
+        # n^0 = 1, but 10^400 ** 0.0 raised OverflowError, read as lambda_eff = inf
+        with pytest.raises(ValueError, match="^ensemble_comparison requires n <= max float"):
+            ensemble_comparison((1.0, 2.0), 1.0, (1.0, 0.0), (5, 10**400), epsilon=0.02)
         # an empty grid used to return [] without checking epsilon
         with pytest.raises(ValueError, match="n_grid"):
             ensemble_comparison((1.0, 2.0), 1.0, (1.0, 0.0), (), epsilon=-1.0)

@@ -27,6 +27,7 @@ from hslaplace import (
     fn_quadrature,
     fn_saddle_asymptotic,
     ln_gamma,
+    ln_gamma_complex,
     solve_saddle,
 )
 
@@ -80,14 +81,18 @@ MC_PINNED = [
 # re-pinned when it gained the rounding floor 1e-15 n (1 + |phi0| +
 # gamma |ln lambda|); before, in the order below: 0x1.1293e0ef242aep-35,
 # 0x1.6616c642f94c0p-39, 0x1.30da8986e5a0ap-37, 0x1.3a93e569a6e9ep-12,
-# 0x1.1000b18caf3d7p-29, 0x1.acbbb70e53956p-34.  No ln_value moved.
+# 0x1.1000b18caf3d7p-29, 0x1.acbbb70e53956p-34.  It was re-pinned again
+# when it gained 1e-14 n for the absolute error of n ln Gamma(gamma); before:
+# 0x1.12a341d782c42p-35, 0x1.666796083e450p-39, 0x1.326e98613e7d9p-37,
+# 0x1.40afdb1f41691p-12, 0x1.108e431a454ccp-29, 0x1.cc321c7371c85p-33.
+# No ln_value moved either time.
 CONTOUR_PINNED = [
-    (1, 1e-20, "-0x1.8000000000000p-49", "0x1.12a341d782c42p-35"),
-    (2, 1.0, "-0x1.7ab617e77f31ap+0", "0x1.666796083e450p-39"),
-    (40, 1.0, "-0x1.e6c44d85d5e68p+2", "0x1.326e98613e7d9p-37"),
-    (3, 1e8, "-0x1.1e1a31121d1fap+28", "0x1.40afdb1f41691p-12"),
-    (1000, 0.05, "0x1.ee640c80ff713p+10", "0x1.108e431a454ccp-29"),
-    (100_000, 0.918, "-0x1.22aa8bca95512p+4", "0x1.cc321c7371c85p-33"),
+    (1, 1e-20, "-0x1.8000000000000p-49", "0x1.12b9c67309655p-35"),
+    (2, 1.0, "-0x1.7ab617e77f31ap+0", "0x1.69382979126a7p-39"),
+    (40, 1.0, "-0x1.e6c44d85d5e68p+2", "0x1.408179956338dp-37"),
+    (3, 1e8, "-0x1.1e1a31121d1fap+28", "0x1.40afdb1fc884bp-12"),
+    (1000, 0.05, "0x1.ee640c80ff713p+10", "0x1.11ee1b185ce31p-29"),
+    (100_000, 0.918, "-0x1.22aa8bca95512p+4", "0x1.4c670210dba26p-30"),
 ]
 
 
@@ -187,6 +192,28 @@ class TestContour:
             cross_check(10_000, 10**13.5)
 
 
+# 10^400 is an exact Python int that no double holds; every route computes
+# with float(n), which raised an uncaught OverflowError
+_HUGE_N = 10**400
+
+
+@pytest.mark.parametrize("route, call", [
+    ("fn_contour", lambda n: fn_contour(n, 1.0)),
+    ("fn_saddle_asymptotic", lambda n: fn_saddle_asymptotic(n, 1.0)),
+    ("fn_quadrature", lambda n: fn_quadrature(n, 1.0)),
+    ("fn_montecarlo", lambda n: fn_montecarlo(n, 1.0, 10_000, 0)),
+])
+def test_refuses_an_n_beyond_the_largest_double(route, call):
+    with pytest.raises(ValueError, match=f"^{route} requires n <= max float, got n = {_HUGE_N}$"):
+        call(_HUGE_N)
+
+
+def test_asymptotic_where_n_cubed_is_no_double():
+    # n^3 = 1e600 raised OverflowError in the remainder term C rho^6 / n^3
+    res = fn_saddle_asymptotic(10**200, 1.0)
+    assert math.isfinite(res.value.ln_value) and res.err_ln >= 1e-14 * 10**200
+
+
 def _closed_form(n, lam):
     return (f1_exact if n == 1 else f2_exact)(lam)
 
@@ -250,6 +277,18 @@ def test_contour_claim_covers_its_rounding_at_large_n():
         assert abs(a.value.ln_value - b.value.ln_value) <= a.err_ln + b.err_ln
 
 
+# ln F_n at n = 1e5 and a lambda near lambda_cr: the expansion through 1/n^2
+# at the exact saddle of this double lambda, mpmath 1.3.0, 50 digits; its
+# remainder is below 5e-18.  The contour is 2.0e-10 off, against a claim of
+# 1.3e-10 before it gained 1e-14 n for the error of n ln Gamma(gamma).
+LN_F_1E5_NEAR_CROSSING = "12.70224604907219061929825141595240759482"
+
+
+def test_contour_claim_covers_the_error_of_n_ln_gamma():
+    res = fn_contour(100_000, 0.9177941675490342)
+    assert _deviation(res.value.ln_value, LN_F_1E5_NEAR_CROSSING) <= res.err_ln
+
+
 class TestContourNodes:
     """How many ln Gamma nodes the contour route evaluates."""
 
@@ -270,16 +309,76 @@ class TestContourNodes:
         assert all(ndim == 1 for ndim, _ in calls)
         assert sum(size for _, size in calls) <= 300
 
-    def test_two_array_calls_at_n40(self, calls):
-        # one batch of 25 candidate edges, then the first level's 51 nodes
-        # and its 50 midpoints together
+    def test_one_array_call_at_n40(self, calls):
+        # the bounds pick the edge k = 1: candidates 0 and 1, then the first
+        # level's 51 nodes and its 50 midpoints, in one call (two calls of 25
+        # candidates and 101 nodes before)
         fn_contour(40, 1.0)
+        assert calls == [(1, 103)]
+
+    def test_two_array_calls_at_the_n3_crossing(self, calls):
+        # the bounds cannot decide between two candidates here, so one batch of
+        # 25 candidate edges is evaluated before the first level
+        fn_contour(3, 0.5668652275040658)
         assert calls == [(1, 25), (1, 101)]
-        assert sum(size for _, size in calls) == 126
+
+    def test_rounding_that_moves_the_edge_falls_back_to_the_batch(self, calls):
+        # the bounds pick k = 1, but rounding in n phi puts the computed edge at 0
+        fn_contour(376_284, 2.33e8)
+        assert calls == [(1, 103), (1, 25), (1, 101)]
 
     def test_auto_mode_stays_under_the_cap(self, calls):
         fn_contour(1, 1e-20)
         assert sum(size for _, size in calls) <= 16_001
+
+
+def _contour_outcome(n, lam):
+    """Hex of (ln_value, err_ln, slope), or the refusal message."""
+    try:
+        res = fn_contour(n, lam)
+    except RuntimeError as exc:
+        return str(exc)
+    return res.value.ln_value.hex(), res.err_ln.hex(), res.slope.hex()
+
+
+# (1, 1e-20): the bounds pick k = 12; (3, 0.5668652275040658), the n = 3 unit
+# crossing: they pick none; (376 284, 2.33e8): rounding moves the computed edge
+_EDGE_PATH_POINTS = [
+    (n, lam)
+    for n in (1, 2, 3, 5, 20, 40, 1000, 100_000, 1_000_000)
+    for lam in (1e-20, 1e-3, 0.5, 1e4, 1e13)
+] + [(3, 0.5668652275040658), (376_284, 2.33e8), (20, 1e-5), (40, 1.0)]
+
+
+class TestContourEdge:
+    """The truncation edge picked from the Gamma product before any ln Gamma call."""
+
+    def test_both_paths_give_the_same_bits(self, monkeypatch):
+        picked = [_contour_outcome(n, lam) for n, lam in _EDGE_PATH_POINTS]
+        monkeypatch.setattr(hslaplace.oracles, "_edge_index", lambda n, gamma, candidates: None)
+        for (n, lam), got in zip(_EDGE_PATH_POINTS, picked):
+            assert got == _contour_outcome(n, lam), (n, lam)
+
+    @pytest.mark.parametrize("n, lam, k", [
+        (1, 1e-20, 12), (3, 0.5668652275040658, None), (40, 1.0, 1), (376_284, 2.33e8, 1),
+    ])
+    def test_edge_index(self, n, lam, k):
+        sol = solve_saddle(lam)
+        candidates = 8.0 / math.sqrt(n * sol.sigma) * 1.5 ** np.arange(25)
+        assert hslaplace.oracles._edge_index(n, sol.gamma, candidates) == k
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=-3.0, max_value=3.0))
+    @example(-3.0, 3.0)
+    @example(3.0, -3.0)
+    def test_bounds_bracket_the_drop(self, gamma_exp, t_exp):
+        gamma, T = 10.0**gamma_exp, 10.0**t_exp
+        lower, upper = hslaplace.oracles._drop_bounds(gamma, T)
+        re_lg, lg = ln_gamma_complex(gamma + 1j * T).real, ln_gamma(gamma)
+        drop = -2.0 * (re_lg - lg)
+        slack = 4e-13 * (1.0 + abs(re_lg) + abs(lg))
+        assert lower - slack <= drop <= upper + slack
+        assert lower <= upper
 
 
 def _exp_excess_reference(u):
