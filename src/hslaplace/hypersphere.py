@@ -287,7 +287,12 @@ def ensemble_comparison(
             raise ValueError("schedule coefficient c must be positive")
         if not math.isfinite(alpha):
             raise ValueError(f"schedule exponent alpha must be finite, got {alpha!r}")
-    ns = [int(v) for v in n_grid]
+    raw = list(n_grid)
+    for v in raw:
+        # int() would truncate 5.5 to 5 and parse '5'
+        if not isinstance(v, (int, np.integer)):
+            raise ValueError(f"n_grid must hold integers, got {v!r}")
+    ns = [int(v) for v in raw]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or any(v < 1 for v in ns):
         raise ValueError("n_grid must be strictly increasing positive integers")
     for n in ns:

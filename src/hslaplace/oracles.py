@@ -445,6 +445,9 @@ def fn_saddle_asymptotic(n: int, lam: float) -> OracleResult:
     return OracleResult(LogValue(ln_f), err, Method.ASYMPTOTIC)
 
 
+_MONTE_CARLO_N_MAX = 1000
+
+
 def fn_montecarlo(n: int, lam: float, samples: int, seed: int) -> OracleResult:
     """Conditional Monte Carlo estimate of ln F_n with a seeded generator.
 
@@ -454,15 +457,20 @@ def fn_montecarlo(n: int, lam: float, samples: int, seed: int) -> OracleResult:
     and S sums n - 1 draws of X from the grand-canonical product measure.
     ln Y is drawn as ln G(gamma + 1) + ln(U)/gamma so that small gamma cannot
     underflow; the n - 1 ln U sum to minus one Gamma(n - 1) draw.  Memory is
-    O(samples); err_ln is one standard error + the rounding of n ln L.
+    O(samples) and time O(n samples), so n is capped at the route's 1000;
+    err_ln is one standard error + the rounding of n ln L.
     """
     _check_n(n, 2, "fn_montecarlo")
     lam = _check_lambda(lam)
     if samples < 10_000:
         raise ValueError("fn_montecarlo requires samples >= 10^4")
+    if seed < 0:
+        raise ValueError(f"fn_montecarlo requires seed >= 0, got seed = {seed}")
     samples = int(samples)
     sol = solve_saddle(lam)
     _check_n_ln_l(n, sol)
+    if n > _MONTE_CARLO_N_MAX:
+        raise ValueError(f"fn_montecarlo requires n <= {_MONTE_CARLO_N_MAX}, got n = {n}")
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     s = rng.standard_gamma(n - 1.0, samples)
     np.negative(s, out=s)
@@ -519,7 +527,7 @@ ROUTES: dict[Method, Route] = {
         1, math.inf, True, lambda n, lam, tol, samples, seed: fn_contour(n, lam)
     ),
     Method.MONTE_CARLO: Route(
-        2, 1000, False,
+        2, _MONTE_CARLO_N_MAX, False,
         lambda n, lam, tol, samples, seed: fn_montecarlo(n, lam, samples, seed),
     ),
     Method.ASYMPTOTIC: Route(

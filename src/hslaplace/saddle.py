@@ -19,6 +19,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,13 +27,13 @@ from .logvalue import LogValue
 from .specfun import EULER_GAMMA, _digamma_trigamma_array, digamma, ln_gamma, trigamma
 
 
-@dataclass(frozen=True)
-class SaddleSolution:
+class SaddleSolution(NamedTuple):
     """Saddle data for one evaluation point lambda > 0.
 
     gamma solves psi(gamma) = ln(lam); sigma = psi'(gamma) is the Gaussian
     curvature of the integrand along the contour; ln_L is the log of the
-    per-dimension rate L(lambda).
+    per-dimension rate L(lambda).  A NamedTuple, so ``tabulate`` can build
+    its rows without a keyword __init__ per row.
     """
 
     lam: float
@@ -85,7 +86,7 @@ def inverse_digamma(y):
     to 1e-13 relative.
     """
     if not isinstance(y, (float, int)):
-        return _inverse_digamma_array(y)
+        return _inverse_digamma_array(y)[0]
     y = float(y)
     if not (math.isfinite(y) and y <= _Y_MAX):
         raise ValueError(f"{_DOMAIN}, got {y!r}")
@@ -115,22 +116,28 @@ def inverse_digamma(y):
 # bracket test.
 @np.errstate(over="ignore")
 def _inverse_digamma_array(y):
-    """inverse_digamma over an array: one Newton pass over every element.
+    """inverse_digamma over an array, with psi' at each root: (gamma, sigma).
 
     Same guesses, bracket rule, stopping rule, cap and errors as the scalar
     route, element by element.  Each iteration evaluates psi and psi' of the
-    elements not yet converged in one pass.
+    elements not yet converged in one pass; sigma is the psi' of the pass
+    that accepted each root, bit for bit trigamma(gamma).  A 0-d y gives two
+    floats.
     """
     arr = np.asarray(y, dtype=float)
     bad = ~(np.isfinite(arr) & (arr <= _Y_MAX))
     if bad.any():
         raise ValueError(f"{_DOMAIN}, got {float(arr[bad].flat[0])!r}")
     yv = arr.reshape(-1)
-    # the scalar route's guesses, with math.exp: np.exp can differ from it in
-    # the last bit, and at large gamma that alone can move the root found
-    # within the stopping tolerance
-    g = np.array([_initial_guess(v) for v in yv.tolist()])
+    # the scalar route's guesses; exp(y) + 1/2 with math.exp: np.exp can
+    # differ from it in the last bit, and at large gamma that alone can move
+    # the root found within the stopping tolerance
+    large = yv >= _GUESS_SWITCH
+    g = np.empty_like(yv)
+    g[large] = [math.exp(v) + 0.5 for v in yv[large].tolist()]
+    g[~large] = -1.0 / (yv[~large] + EULER_GAMMA)
     out = np.empty_like(g)
+    sigma = np.empty_like(g)
     idx = np.arange(g.size)
     lo = np.zeros_like(g)
     hi = np.full_like(g, np.inf)
@@ -142,6 +149,7 @@ def _inverse_digamma_array(y):
         done = np.abs(r) < _NEWTON_TOL
         if done.any():
             out[idx[done]] = g[done]
+            sigma[idx[done]] = psi1[done]
             left = ~done
             idx, g, yv, lo, hi, r, psi1 = (a[left] for a in (idx, g, yv, lo, hi, r, psi1))
         above = r > 0.0
@@ -151,13 +159,17 @@ def _inverse_digamma_array(y):
         fallback = np.where(np.isinf(hi), 2.0 * lo, 0.5 * (lo + hi))
         g = np.where((lo < g_new) & (g_new < hi), g_new, fallback)
     else:
-        missed = np.abs(_digamma_trigamma_array(g)[0] - yv) >= 1e-12
+        psi, psi1 = _digamma_trigamma_array(g)
+        missed = np.abs(psi - yv) >= 1e-12
         if missed.any():
             raise RuntimeError(
                 f"inverse_digamma failed to converge at y={float(yv[missed][0])!r}"
             )
         out[idx] = g
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+        sigma[idx] = psi1
+    if arr.ndim == 0:
+        return float(out[0]), float(sigma[0])
+    return out.reshape(arr.shape), sigma.reshape(arr.shape)
 
 
 def solve_saddle(lam: float) -> SaddleSolution:
@@ -298,26 +310,26 @@ def tabulate(lambda_grid) -> list[SaddleSolution]:
 
     The gamma column is strictly increasing and the ln_L column strictly
     decreasing; evaluation is independent per point, so the output does not
-    depend on evaluation order.  The whole grid is solved in one array pass
-    (``inverse_digamma`` on an array), agreeing with ``solve_saddle`` point
-    by point to 1e-13 relative in gamma and sigma and to
-    1e-13 * max(1, |ln L|) in ln L, which crosses zero at lambda_cr.  Raises
-    ValueError naming the first grid point where ln L is not a finite double.
+    depend on evaluation order.  The whole grid is solved in one Newton pass
+    (``_inverse_digamma_array``), whose last psi' evaluation at each root is
+    the sigma column; one ``ln_gamma`` array call then gives ln L.  Rows
+    agree with ``solve_saddle`` point by point to 1e-13 relative in gamma
+    and sigma and to 1e-13 * max(1, |ln L|) in ln L, which crosses zero at
+    lambda_cr.  Raises ValueError naming the first grid point where ln L is
+    not a finite double.
     """
     grid = [float(v) for v in lambda_grid]
-    if any(not math.isfinite(v) or v <= 0.0 for v in grid):
+    arr = np.array(grid)
+    if not (np.isfinite(arr) & (arr > 0.0)).all():
         raise ValueError("tabulate requires positive grid points")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if (arr[1:] <= arr[:-1]).any():
         raise ValueError("tabulate requires a strictly increasing grid")
     # math.log as in solve_saddle; np.log can differ from it in the last bit
     ln_lam = np.array([math.log(v) for v in grid])
-    gamma = inverse_digamma(ln_lam)
+    gamma, sigma = _inverse_digamma_array(ln_lam)
     ln_L = ln_gamma(gamma) - gamma * ln_lam
     bad = (~np.isfinite(ln_L)).nonzero()[0]
     if bad.size:
         raise ValueError(_LN_L_OVERFLOW.format(grid[bad[0]]))
-    sigma = trigamma(gamma)
-    return [
-        SaddleSolution(*row)
-        for row in zip(grid, gamma.tolist(), ln_L.tolist(), sigma.tolist())
-    ]
+    rows = zip(grid, gamma.tolist(), ln_L.tolist(), sigma.tolist())
+    return list(map(SaddleSolution._make, rows))

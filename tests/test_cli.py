@@ -220,6 +220,14 @@ def test_refusals_name_n_and_lambda_where_n_ln_l_overflows(capsys, argv, err):
     assert run_cli(capsys, *argv.split()) == (1, "", err)
 
 
+def test_a_negative_monte_carlo_seed_exits_one(capsys):
+    # it printed numpy's bare "expected non-negative integer"
+    argv = "oracle --method monte-carlo --n 3 --lambda 1 --samples 10000 --seed -1"
+    assert run_cli(capsys, *argv.split()) == (
+        1, "", "error (oracle): fn_montecarlo requires seed >= 0, got seed = -1\n"
+    )
+
+
 def test_compare_fails_only_without_an_exact_route(capsys):
     code, out, err = run_cli(capsys, "compare", "--n", "0", "--lambda", "1")
     assert (code, out) == (1, "")

@@ -3,6 +3,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -420,3 +421,14 @@ class TestEnsembleComparison:
         # an empty grid used to return [] without checking epsilon
         with pytest.raises(ValueError, match="n_grid"):
             ensemble_comparison((1.0, 2.0), 1.0, (1.0, 0.0), (), epsilon=-1.0)
+
+    @pytest.mark.parametrize("bad", [5.5, "5", np.float64(5.0)])
+    def test_refuses_a_non_integer_n(self, bad):
+        # int() truncated 5.5 to 5 and parsed '5'
+        with pytest.raises(ValueError, match=f"^n_grid must hold integers, got {re.escape(repr(bad))}$"):
+            ensemble_comparison((1.0, 2.0), 1.0, (1.0, 0.0), (bad, 10), epsilon=0.02)
+
+    def test_integer_grids_of_either_kind_agree(self):
+        args = ((1.0, 2.0), 1.0, (1.0, 0.0))
+        assert (ensemble_comparison(*args, (np.int64(5), np.int64(10)), epsilon=0.02)
+                == ensemble_comparison(*args, (5, 10), epsilon=0.02))

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import time
 import tracemalloc
 import warnings
 from decimal import Decimal
@@ -799,6 +800,20 @@ class TestMonteCarlo:
             fn_montecarlo(2, 1.0, 9_999, seed=0)
         with pytest.raises(ValueError):
             fn_montecarlo(1, 1.0, 10_000, seed=0)
+
+    def test_refuses_an_n_beyond_the_route_at_once(self):
+        # it drew n - 1 arrays of samples variates: at n = 1e20 it ran for
+        # minutes before it was killed
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^fn_montecarlo requires n <= 1000, got n = {10**20}$"):
+            fn_montecarlo(10**20, 1.0, 10_000, 0)
+        assert time.perf_counter() - start < 1.0
+        assert math.isfinite(fn_montecarlo(1000, 1.0, 10_000, 0).value.ln_value)
+
+    def test_refuses_a_negative_seed(self):
+        # numpy's bare "expected non-negative integer" named neither
+        with pytest.raises(ValueError, match="^fn_montecarlo requires seed >= 0, got seed = -1$"):
+            fn_montecarlo(2, 1.0, 10_000, seed=-1)
 
 
 class TestErrorClaimsAcrossRoutes:

@@ -14,6 +14,7 @@ from hslaplace import (
     EULER_GAMMA,
     L_value,
     L_value_legendre,
+    SaddleSolution,
     critical_point,
     digamma,
     gamma_asymptotic_zero,
@@ -283,6 +284,73 @@ class TestTabulate:
         with pytest.raises(ValueError):
             tabulate([0.0, 1.0])
 
+    @pytest.mark.parametrize("grid, message", [
+        ([1.0, math.nan], "tabulate requires positive grid points"),
+        ([0.0, 1.0], "tabulate requires positive grid points"),
+        ([-1.0, 1.0], "tabulate requires positive grid points"),
+        ([1.0, math.inf], "tabulate requires positive grid points"),
+        # both faults: the point check comes first
+        ([2.0, 0.0], "tabulate requires positive grid points"),
+        ([1.0, 0.5], "tabulate requires a strictly increasing grid"),
+        ([0.5, 1.0, 1.0], "tabulate requires a strictly increasing grid"),
+    ])
+    def test_bad_grid_messages(self, grid, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tabulate(grid)
+
+    def test_accepts_any_iterable(self):
+        grid = np.logspace(-3, 3, 40)
+        rows = tabulate(grid.tolist())
+        assert tabulate(grid) == rows
+        assert tabulate(float(v) for v in grid) == rows
+
+    @pytest.mark.parametrize("size", [1, 2, 257, 2000])
+    def test_columns_are_the_kernels_bit_for_bit(self, size):
+        # sigma is the psi' of the Newton pass that accepted gamma; it must be
+        # trigamma(gamma) in every bit, as ln L must be ln_gamma's
+        rng = np.random.default_rng(size)
+        grids = [np.unique(10.0 ** rng.uniform(-320.0, 305.0, size)), np.logspace(-8, 6, 200)]
+        for grid in grids:
+            rows = tabulate(grid)
+            ln_lam = np.array([math.log(v) for v in grid.tolist()])
+            gamma = inverse_digamma(ln_lam)
+            ln_l = ln_gamma(gamma) - gamma * ln_lam
+            want = [(g.hex(), l.hex(), s.hex()) for g, l, s in
+                    zip(gamma.tolist(), ln_l.tolist(), trigamma(gamma).tolist())]
+            got = [(r.gamma.hex(), r.ln_L.hex(), r.sigma.hex()) for r in rows]
+            assert got == want
+
+    def test_sigma_of_roots_accepted_at_the_cap(self, monkeypatch):
+        # with no residual below the stopping tolerance every root is taken
+        # by the cap branch, within 1e-12, which supplies sigma itself
+        monkeypatch.setattr(hslaplace.saddle, "_NEWTON_TOL", 0.0)
+        rows = tabulate(np.logspace(-300, 300, 50))
+        assert [r.sigma.hex() for r in rows] == [trigamma(r.gamma).hex() for r in rows]
+
+
+class TestSaddleSolution:
+    def test_fields_in_order(self):
+        assert SaddleSolution._fields == ("lam", "gamma", "ln_L", "sigma")
+        sol = solve_saddle(2.0)
+        assert tuple(sol) == (sol.lam, sol.gamma, sol.ln_L, sol.sigma)
+
+    def test_immutable(self):
+        sol = solve_saddle(1.0)
+        with pytest.raises(AttributeError):
+            sol.gamma = 2.0
+        with pytest.raises(AttributeError):
+            sol.extra = 2.0
+
+    def test_equality_hash_and_repr(self):
+        assert solve_saddle(1.0) == solve_saddle(1.0)
+        assert hash(solve_saddle(1.0)) == hash(solve_saddle(1.0))
+        assert solve_saddle(1.0) != solve_saddle(2.0)
+        # the text of the frozen dataclass this type used to be
+        assert repr(solve_saddle(1.0)) == (
+            "SaddleSolution(lam=1.0, gamma=1.4616321449683431, "
+            "ln_L=-0.12148629053585047, sigma=0.9676722454476383)"
+        )
+
 
 class TestEnvelopeIdentity:
     def test_log_derivative_is_minus_gamma(self):
@@ -396,10 +464,12 @@ class TestArrayRoute:
 
     def test_tabulate_makes_few_array_passes(self, monkeypatch):
         calls = {"scalar": 0, "array": 0}
+        names = []
 
         def counting(fn):
             def wrapped(x, *args):
                 calls["scalar" if isinstance(x, (float, int)) else "array"] += 1
+                names.append(fn.__name__)
                 return fn(x, *args)
             return wrapped
 
@@ -409,3 +479,5 @@ class TestArrayRoute:
         assert len(rows) == 200
         assert calls["scalar"] == 0
         assert calls["array"] <= 12
+        # sigma comes from the Newton pass's own psi'
+        assert "trigamma" not in names
