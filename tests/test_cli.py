@@ -1,5 +1,6 @@
 """CLI surface: exit codes, CSV schemas, byte stability, SVG output."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -384,6 +385,14 @@ def test_bad_grid_exits_one(capsys):
 # gained the rounding floor 1e-15 n (1 + |phi0| + gamma |ln lambda|)
 # (2.5443751122522321e-12 before), then 1e-14 n for the absolute error of
 # n ln Gamma(gamma) (2.5466180848333038e-12 before).
+TABLE_0_1_TO_2 = (
+    "lambda,gamma,ln_L,sigma\n"
+    "1.0000000000000001e-01,4.3858744402204280e-01,1.7128534606447703e+00,6.1871134186350440e+00\n"
+    "2.1147425268811282e-01,5.9643335154112598e-01,1.3304017931146734e+00,3.6720474914096788e+00\n"
+    "4.4721359549995798e-01,8.7465016771904314e-01,7.8998767113194579e-01,2.0069516741386852e+00\n"
+    "9.4574160900317594e-01,1.4054746124283961e+00,-4.1527982993336474e-02,1.0199686407393249e+00\n"
+    "2.0000000000000000e+00,2.4796874504281794e+00,-1.4482869063238117e+00,4.9520229675251926e-01\n"
+)
 GOLDEN = [
     ("oracle --method closed-form --n 2 --lambda 1",
      "n,lambda,method,ln_F,err_est\n"
@@ -416,9 +425,44 @@ GOLDEN = [
      "5,1.8171205928321394e+00,-1.5026061269302200e+00,vanishes,-5.9725315640935162e-01\n"
      "10,1.8171205928321394e+00,-1.3958948332997136e+00,vanishes,-5.9725315640935162e-01\n"
      "20,1.8171205928321394e+00,-1.3250731631498056e+00,vanishes,-5.9725315640935162e-01\n"),
+    # the remaining commands, frozen before their output was routed through
+    # one writer; the linear grid of --no-grid-log had no test before
+    ("critical",
+     "gamma_cr = 1.3766109186462141e+00\n"
+     "lambda_cr = 9.1792353473797439e-01\n"
+     "residual = 1.6237011735142914e-15\n"),
+    ("eval --lambda 1.0",
+     "lambda,gamma,ln_L,L,sigma\n"
+     "1.0000000000000000e+00,1.4616321449683431e+00,-1.2148629053585047e-01,"
+     "8.8560319441088797e-01,9.6767224544763830e-01\n"),
+    ("regime --lambda 0.8 --epsilon 0.05",
+     "lambda_eff,margin,regime\n"
+     "8.0000000000000004e-01,-1.1792353473797434e-01,diverges\n"),
+    ("table --grid-min 0.1 --grid-max 2 --grid-count 5", TABLE_0_1_TO_2),
+    ("table --grid-min 0.1 --grid-max 2 --grid-count 5 --no-grid-log",
+     "lambda,gamma,ln_L,sigma\n"
+     "1.0000000000000001e-01,4.3858744402204280e-01,1.7128534606447703e+00,6.1871134186350440e+00\n"
+     "5.7499999999999996e-01,1.0146417878667813e+00,5.5321139479175008e-01,1.6104168445756801e+00\n"
+     "1.0500000000000000e+00,1.5132351419920669e+00,-1.9404872293273900e-01,9.2395504541868612e-01\n"
+     "1.5249999999999999e+00,1.9987756546895583e+00,-8.4398930375111381e-01,6.4542921217604687e-01\n"
+     "2.0000000000000000e+00,2.4796874504281794e+00,-1.4482869063238117e+00,4.9520229675251926e-01\n"),
 ]
 
 
 @pytest.mark.parametrize("command,expected", GOLDEN, ids=[c for c, _ in GOLDEN])
 def test_golden_output(capsys, command, expected):
     assert run_cli(capsys, *command.split()) == (0, expected, "")
+
+
+def test_golden_plot(tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    table.write_text(TABLE_0_1_TO_2)
+    out = tmp_path / "figs"
+    assert run_cli(capsys, "plot", "--table", str(table), "--out", str(out)) == (
+        0, f"wrote {out / 'lambda_of_gamma.svg'}\nwrote {out / 'L_of_lambda.svg'}\n", ""
+    )
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == {
+        "lambda_of_gamma.svg": "16dc8f1fd2aad1c394c78e39c79aa71896792336d03b708863ecb405d4090810",
+        "L_of_lambda.svg": "5d0ac2ca2efc6e7ca7becac02c40ed334d2cad999ef473d5a35283da541bb0fa",
+    }
