@@ -12,8 +12,11 @@ regime     divergence / vanishing classification of a lambda_eff
 ensemble   the radius-schedule comparison table
 plot       SVG renderings of lambda(gamma) and L(lambda) from a table CSV
 
-Floats are printed with 17 significant digits so CSV output round-trips
-exactly and is byte-stable across runs (Monte Carlo included, via --seed).
+Each command returns its text and ``main`` writes it, to stdout or to the
+file named by ``--out`` (``plot`` writes its SVGs into the directory named by
+``--out`` and returns the lines that name them).  Floats are printed with 17
+significant digits so CSV output round-trips exactly and is byte-stable
+across runs (Monte Carlo included, via --seed).
 """
 
 from __future__ import annotations
@@ -35,12 +38,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".16e")
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
         Path(out).write_text(text, encoding="ascii", newline="")
+
+
+def _csv(header: str, rows) -> str:
+    """The header line, then one line per row of cells."""
+    return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
 
 
 def _grid(args) -> np.ndarray:
@@ -55,81 +63,60 @@ def _grid(args) -> np.ndarray:
     return np.linspace(args.grid_min, args.grid_max, args.grid_count)
 
 
-def _cmd_critical(args) -> None:
+def _cmd_critical(args) -> str:
     cp = critical_point()
-    _emit(
+    return (
         f"gamma_cr = {_fmt(cp.gamma_cr)}\n"
         f"lambda_cr = {_fmt(cp.lambda_cr)}\n"
-        f"residual = {_fmt(cp.residual)}\n",
-        args.out,
+        f"residual = {_fmt(cp.residual)}\n"
     )
 
 
-def _cmd_eval(args) -> None:
+def _cmd_eval(args) -> str:
     sol = solve_saddle(args.lam)
-    lines = [
-        "lambda,gamma,ln_L,L,sigma",
-        ",".join(_fmt(v) for v in (sol.lam, sol.gamma, sol.ln_L, math.exp(sol.ln_L), sol.sigma)),
-    ]
-    _emit("\n".join(lines) + "\n", args.out)
+    values = (sol.lam, sol.gamma, sol.ln_L, math.exp(sol.ln_L), sol.sigma)
+    return _csv("lambda,gamma,ln_L,L,sigma", [map(_fmt, values)])
 
 
-def _cmd_table(args) -> None:
-    rows = tabulate(_grid(args))
-    lines = ["lambda,gamma,ln_L,sigma"]
-    for sol in rows:
-        lines.append(",".join(_fmt(v) for v in (sol.lam, sol.gamma, sol.ln_L, sol.sigma)))
-    _emit("\n".join(lines) + "\n", args.out)
+def _cmd_table(args) -> str:
+    rows = tabulate(_grid(args))  # SaddleSolution's fields are in the header's order
+    return _csv("lambda,gamma,ln_L,sigma", (map(_fmt, sol) for sol in rows))
 
 
-def _cmd_oracle(args) -> None:
+def _cmd_oracle(args) -> str:
     res = evaluate(args.method, args.n, args.lam, args.tol, args.samples, args.seed)
-    lines = [
-        "n,lambda,method,ln_F,err_est",
-        f"{args.n},{_fmt(args.lam)},{res.method.value},"
-        f"{_fmt(res.value.ln_value)},{_fmt(res.err_ln)}",
-    ]
-    _emit("\n".join(lines) + "\n", args.out)
+    return _csv("n,lambda,method,ln_F,err_est", [(
+        str(args.n), _fmt(args.lam), res.method.value, _fmt(res.value.ln_value), _fmt(res.err_ln)
+    )])
 
 
-def _cmd_compare(args) -> None:
-    results, refusals, max_dev = cross_check(
-        args.n, args.lam, args.tol, args.samples, args.seed
-    )
+def _cmd_compare(args) -> str:
+    results, refusals, max_dev = cross_check(args.n, args.lam, args.tol, args.samples, args.seed)
     for method, message in refusals.items():
         print(f"refused ({method.value}): {message}", file=sys.stderr)
+    cells = [_fmt(results[m].value.ln_value) if m in results else "" for m in Method]
     header = "n,lambda," + ",".join(m.value for m in Method) + ",max_pairwise_dev"
-    cells = [str(args.n), _fmt(args.lam)]
-    for method in Method:
-        cells.append(_fmt(results[method].value.ln_value) if method in results else "")
-    cells.append(_fmt(max_dev))
-    _emit(header + "\n" + ",".join(cells) + "\n", args.out)
+    return _csv(header, [(str(args.n), _fmt(args.lam), *cells, _fmt(max_dev))])
 
 
-def _cmd_regime(args) -> None:
+def _cmd_regime(args) -> str:
     rep = classify_regime(args.lam, args.epsilon)
-    lines = [
-        "lambda_eff,margin,regime",
-        f"{_fmt(rep.lambda_eff)},{_fmt(rep.margin)},{rep.regime.value}",
-    ]
-    _emit("\n".join(lines) + "\n", args.out)
+    row = (_fmt(rep.lambda_eff), _fmt(rep.margin), rep.regime.value)
+    return _csv("lambda_eff,margin,regime", [row])
 
 
-def _cmd_ensemble(args) -> None:
+def _cmd_ensemble(args) -> str:
     f = [float(v) for v in args.f.split(",") if v]
     n_grid = [int(v) for v in args.n_grid.split(",") if v]
     schedule = "critical" if args.radius_critical else (args.radius_c, args.radius_alpha)
     rows = ensemble_comparison(f, args.theta, schedule, n_grid, args.epsilon)
-    lines = ["n,lambda_eff,ln_dn_per_n,regime,ln_psi_theta"]
-    for row in rows:
-        lines.append(
-            f"{row.n},{_fmt(row.lambda_eff)},{_fmt(row.ln_dn_per_n)},"
-            f"{row.regime.value},{_fmt(row.ln_psi_theta)}"
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+    return _csv("n,lambda_eff,ln_dn_per_n,regime,ln_psi_theta", [
+        (str(r.n), _fmt(r.lambda_eff), _fmt(r.ln_dn_per_n), r.regime.value, _fmt(r.ln_psi_theta))
+        for r in rows
+    ])
 
 
-def _cmd_plot(args) -> None:
+def _cmd_plot(args) -> str:
     text = Path(args.table).read_text(encoding="ascii")
     lines = [ln for ln in text.splitlines() if ln]
     if not lines:
@@ -146,23 +133,16 @@ def _cmd_plot(args) -> None:
     gam = [float(r[idx["gamma"]]) for r in rows]
     big_l = [math.exp(float(r[idx["ln_L"]])) for r in rows]
     out_dir = Path(args.out or ".")
+    # made before the first plot, which may refuse its data
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "lambda_of_gamma.svg").write_text(
-        line_plot_svg(
-            gam, lam, title="saddle abscissa map", x_label="gamma", y_label="lambda"
-        ),
-        encoding="ascii",
-        newline="",
-    )
-    (out_dir / "L_of_lambda.svg").write_text(
-        line_plot_svg(
-            lam, big_l, title="decay-rate function L", x_label="lambda", y_label="L"
-        ),
-        encoding="ascii",
-        newline="",
-    )
-    sys.stdout.write(f"wrote {out_dir / 'lambda_of_gamma.svg'}\n")
-    sys.stdout.write(f"wrote {out_dir / 'L_of_lambda.svg'}\n")
+    report = ""
+    for name, x, y, title, x_label, y_label in (
+        ("lambda_of_gamma.svg", gam, lam, "saddle abscissa map", "gamma", "lambda"),
+        ("L_of_lambda.svg", lam, big_l, "decay-rate function L", "lambda", "L"),
+    ):
+        _emit(line_plot_svg(x, y, title=title, x_label=x_label, y_label=y_label), out_dir / name)
+        report += f"wrote {out_dir / name}\n"
+    return report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,83 +152,68 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--out", default=None, help="write output to this file (default: stdout)")
+    def command(name, func, help, *options,
+                out_help="write output to this file (default: stdout)"):
+        """A subcommand with its (flag, add_argument keywords) options, then --out."""
+        p = sub.add_parser(name, help=help)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--out", default=None, help=out_help)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("critical", help="critical point of the decay-rate function")
-    add_common(p)
-    p.set_defaults(func=_cmd_critical)
-
-    p = sub.add_parser("eval", help="saddle data at one lambda")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("table", help="saddle table over a lambda grid")
-    p.add_argument("--grid-min", type=float, default=1e-3)
-    p.add_argument("--grid-max", type=float, default=10.0)
-    p.add_argument("--grid-count", type=int, default=200)
-    p.add_argument(
-        "--grid-log",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="log-spaced grid (default) or linear with --no-grid-log",
+    lam = ("--lambda", dict(dest="lam", type=float, required=True))
+    oracle_options = (
+        ("--n", dict(type=int, required=True)),
+        lam,
+        ("--tol", dict(type=float, default=1e-9, help="quadrature tolerance")),
+        ("--samples", dict(type=int, default=0, help="Monte Carlo sample count")),
+        ("--seed", dict(type=int, default=0, help="Monte Carlo seed")),
     )
-    add_common(p)
-    p.set_defaults(func=_cmd_table)
-
-    def add_oracle_opts(p):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--lambda", dest="lam", type=float, required=True)
-        p.add_argument("--tol", type=float, default=1e-9, help="quadrature tolerance")
-        p.add_argument("--samples", type=int, default=0, help="Monte Carlo sample count")
-        p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
-
-    p = sub.add_parser("oracle", help="one ln F_n evaluation by a chosen route")
-    add_oracle_opts(p)
-    p.add_argument("--method", required=True, choices=[m.value for m in Method])
-    add_common(p)
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("compare", help="all applicable routes side by side")
-    add_oracle_opts(p)
-    add_common(p)
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("regime", help="classify an effective lambda")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_regime)
-
-    p = sub.add_parser("ensemble", help="radius-schedule comparison table")
-    p.add_argument("--f", required=True, help="comma-separated positive weights")
-    p.add_argument("--theta", type=float, default=1.0)
-    p.add_argument("--radius-c", type=float, default=1.0)
-    p.add_argument("--radius-alpha", type=float, default=0.0)
-    p.add_argument(
-        "--radius-critical",
-        action="store_true",
-        help="pin the schedule to r_n = lambda_cr / rho(f)",
+    command("critical", _cmd_critical, "critical point of the decay-rate function")
+    command("eval", _cmd_eval, "saddle data at one lambda", lam)
+    command(
+        "table", _cmd_table, "saddle table over a lambda grid",
+        ("--grid-min", dict(type=float, default=1e-3)),
+        ("--grid-max", dict(type=float, default=10.0)),
+        ("--grid-count", dict(type=int, default=200)),
+        ("--grid-log", dict(action=argparse.BooleanOptionalAction, default=True,
+                            help="log-spaced grid (default) or linear with --no-grid-log")),
     )
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--n-grid", default="5,10,20,40", help="comma-separated dimensions")
-    add_common(p)
-    p.set_defaults(func=_cmd_ensemble)
-
-    p = sub.add_parser("plot", help="SVG plots from a table CSV")
-    p.add_argument("--table", required=True, help="CSV produced by the table subcommand")
-    p.add_argument("--out", default=None, help="output directory (default: .)")
-    p.set_defaults(func=_cmd_plot)
-
+    command(
+        "oracle", _cmd_oracle, "one ln F_n evaluation by a chosen route", *oracle_options,
+        ("--method", dict(required=True, choices=[m.value for m in Method])),
+    )
+    command("compare", _cmd_compare, "all applicable routes side by side", *oracle_options)
+    command(
+        "regime", _cmd_regime, "classify an effective lambda",
+        lam, ("--epsilon", dict(type=float, required=True)),
+    )
+    command(
+        "ensemble", _cmd_ensemble, "radius-schedule comparison table",
+        ("--f", dict(required=True, help="comma-separated positive weights")),
+        ("--theta", dict(type=float, default=1.0)),
+        ("--radius-c", dict(type=float, default=1.0)),
+        ("--radius-alpha", dict(type=float, default=0.0)),
+        ("--radius-critical", dict(
+            action="store_true", help="pin the schedule to r_n = lambda_cr / rho(f)"
+        )),
+        ("--epsilon", dict(type=float, required=True)),
+        ("--n-grid", dict(default="5,10,20,40", help="comma-separated dimensions")),
+    )
+    command(
+        "plot", _cmd_plot, "SVG plots from a table CSV",
+        ("--table", dict(required=True, help="CSV produced by the table subcommand")),
+        out_help="output directory (default: .)",
+    )
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        text = args.func(args)
+        # plot's --out is the directory it wrote into; its report goes to stdout
+        _emit(text, None if args.command == "plot" else args.out)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         return 1
