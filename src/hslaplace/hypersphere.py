@@ -235,7 +235,7 @@ def unit_crossing(n: int) -> float:
     1e-10 (n of a few 1e5 and up) and the bracket closes on
     two adjacent doubles, the one of the two with the smaller |ln F_n|.
     """
-    _check_n(n, 2, "unit_crossing")
+    n = _check_n(n, 2, "unit_crossing")
     cp = critical_point()
     u_cr = math.log(cp.lambda_cr)
     rounding = 1e-14 * n
@@ -295,8 +295,7 @@ def ensemble_comparison(
     ns = [int(v) for v in raw]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or any(v < 1 for v in ns):
         raise ValueError("n_grid must be strictly increasing positive integers")
-    for n in ns:
-        _check_n(n, 1, "ensemble_comparison")
+    ns = [_check_n(n, 1, "ensemble_comparison") for n in ns]
     lams = []
     for n in ns:
         try:
@@ -308,18 +307,20 @@ def ensemble_comparison(
                 f"lambda_eff = rho c n^alpha is {lam_eff!r} at n = {n}, not a finite positive double"
             )
         lams.append(lam_eff)
-    weights = (1.0 / len(f),) * len(f)
-    ln_psi = psi_theta(GrandEnsembleSpec(theta=theta, f=tuple(f), weights=weights)).ln_value
-    rows = []
-    for n, lam_eff in zip(ns, lams):
-        ln_f = fn_contour(n, lam_eff).value.ln_value
-        rows.append(
-            EnsembleRow(
-                n=n,
-                lambda_eff=lam_eff,
-                ln_dn_per_n=ln_f / n,
-                regime=classify_regime(lam_eff, epsilon).regime,
-                ln_psi_theta=ln_psi,
-            )
+    # psi_theta of the equal-weight GrandEnsembleSpec, without a second check of f
+    if not (math.isfinite(theta) and theta > 0.0):
+        raise ValueError("theta must be a positive real")
+    w = np.full(len(f), 1.0 / len(f))
+    ln_psi = float(-theta * np.dot(w, np.log(np.asarray(f, dtype=float)))) + 0.0
+    # epsilon is checked before the first contour call
+    regimes = [classify_regime(lam_eff, epsilon).regime for lam_eff in lams]
+    return [
+        EnsembleRow(
+            n=n,
+            lambda_eff=lam_eff,
+            ln_dn_per_n=fn_contour(n, lam_eff).value.ln_value / n,
+            regime=regime,
+            ln_psi_theta=ln_psi,
         )
-    return rows
+        for n, lam_eff, regime in zip(ns, lams, regimes)
+    ]

@@ -136,7 +136,7 @@ def fn_quadrature(n: int, lam: float, tol: float = 1e-9) -> OracleResult:
     n tol e^-10 + 1e-14 (1 + |ln F|) + 1e-15 n.  Raises RuntimeError past the
     2^19-node cap (``ROUTES`` stops at n = 1000, where lambda in [1e-20, 1e8]
     stays under it), ValueError where ln F_n < -max float."""
-    _check_n(n, 2, "fn_quadrature")
+    n = _check_n(n, 2, "fn_quadrature")
     lam = _check_lambda(lam)
     if not 1e-12 <= tol <= 1e-3:
         raise ValueError("tol must lie in [1e-12, 1e-3]")
@@ -279,7 +279,7 @@ def fn_contour(n: int, lam: float) -> OracleResult:
     when the running trapezoid sum is not finite and positive (at large
     n lambda, rounding in n phi can exceed the exp range).
     """
-    _check_n(n, 1, "fn_contour")
+    n = _check_n(n, 1, "fn_contour")
     lam = _check_lambda(lam)
     ln_lam = math.log(lam)
     sol = solve_saddle(lam)
@@ -421,7 +421,7 @@ def fn_saddle_asymptotic(n: int, lam: float) -> OracleResult:
     sets its size; C is measured (``_REMAINDER_C``).  Cross-oracle tests confirm
     the claim from n = 1 to 1e5.
     """
-    _check_n(n, 1, "fn_saddle_asymptotic")
+    n = _check_n(n, 1, "fn_saddle_asymptotic")
     lam = _check_lambda(lam)
     sol = solve_saddle(lam)
     _check_n_ln_l(n, sol)
@@ -460,7 +460,7 @@ def fn_montecarlo(n: int, lam: float, samples: int, seed: int) -> OracleResult:
     O(samples) and time O(n samples), so n is capped at the route's 1000;
     err_ln is one standard error + the rounding of n ln L.
     """
-    _check_n(n, 2, "fn_montecarlo")
+    n = _check_n(n, 2, "fn_montecarlo")
     lam = _check_lambda(lam)
     if samples < 10_000:
         raise ValueError("fn_montecarlo requires samples >= 10^4")
@@ -592,13 +592,15 @@ def cross_check(
     return results, refusals, max(abs(a - b) for a in exact for b in exact)
 
 
-def _check_n(n, n_min: int, route: str) -> None:
-    """Refuse, naming the route, an n that is not an integer >= n_min or that
-    exceeds the largest double (every route computes with float(n))."""
+def _check_n(n, n_min: int, route: str) -> int:
+    """int(n), refusing, naming the route, an n that is not an integer >= n_min
+    or that exceeds the largest double (every route computes with float(n)).
+    A numpy integer would wrap in n**3 and make every result a numpy float."""
     if not isinstance(n, (int, np.integer)) or n < n_min:
         raise ValueError(f"{route} requires integer n >= {n_min}")
     if n > sys.float_info.max:
         raise ValueError(f"{route} requires n <= max float, got n = {n}")
+    return int(n)
 
 
 def _check_lambda(lam) -> float:

@@ -105,6 +105,10 @@ class TestHypersphereSpecValidation:
         laplace_dn(spec)
         laplace_dn(spec, method="quadrature")
         assert len(calls) == 1
+        # ensemble_comparison also checked f inside GrandEnsembleSpec
+        calls.clear()
+        ensemble_comparison((0.5, 2.2, 1.3), 1.0, (1.0, 0.0), (2, 3), epsilon=0.05)
+        assert len(calls) == 1
 
 
 class TestLaplaceDn:
@@ -421,6 +425,15 @@ class TestEnsembleComparison:
         # an empty grid used to return [] without checking epsilon
         with pytest.raises(ValueError, match="n_grid"):
             ensemble_comparison((1.0, 2.0), 1.0, (1.0, 0.0), (), epsilon=-1.0)
+
+    def test_a_bad_epsilon_makes_no_contour_call(self, monkeypatch):
+        # it ran fn_contour(5, ...) before classify_regime refused epsilon
+        calls = []
+        monkeypatch.setattr(hslaplace.hypersphere, "fn_contour",
+                            lambda *a: calls.append(a) or fn_contour(*a))
+        with pytest.raises(ValueError, match="^epsilon must be a positive real$"):
+            ensemble_comparison([1, 2, 3], 1.0, (1.0, 0.0), [5, 10, 2000], epsilon=-1)
+        assert calls == []
 
     @pytest.mark.parametrize("bad", [5.5, "5", np.float64(5.0)])
     def test_refuses_a_non_integer_n(self, bad):

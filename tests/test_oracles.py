@@ -215,6 +215,24 @@ def test_asymptotic_where_n_cubed_is_no_double():
     assert math.isfinite(res.value.ln_value) and res.err_ln >= 1e-14 * 10**200
 
 
+@pytest.mark.parametrize("n, routes", [
+    (40, (fn_contour, fn_saddle_asymptotic, lambda n, lam: fn_quadrature(n, lam),
+          lambda n, lam: fn_montecarlo(n, lam, 10_000, 1))),
+    (2_100_000, (fn_contour, fn_saddle_asymptotic)),
+])
+@pytest.mark.parametrize("lam", [1e-20, 1.0])
+def test_a_numpy_integer_n_gives_the_int_results(n, routes, lam):
+    # np.int64(2_100_000)**3 wrapped to a negative remainder term, and every
+    # route returned np.float64 fields
+    def fields(res):
+        return [v if v is None else (type(v), v.hex())
+                for v in (res.value.ln_value, res.err_ln, res.slope)]
+
+    for route in routes:
+        assert fields(route(np.int64(n), lam)) == fields(route(n, lam))
+        assert all(f is None or f[0] is float for f in fields(route(n, lam)))
+
+
 def _closed_form(n, lam):
     return (f1_exact if n == 1 else f2_exact)(lam)
 
