@@ -255,9 +255,13 @@ def unit_crossing(n: int) -> float:
 
 def psi_theta(spec: GrandEnsembleSpec) -> LogValue:
     """ln Psi_theta(f) = -theta * sum_k weights_k ln f_k."""
-    logs = np.log(np.asarray(spec.f, dtype=float))
-    w = np.asarray(spec.weights, dtype=float)
-    return LogValue(float(-spec.theta * np.dot(w, logs)) + 0.0)
+    return LogValue(_ln_psi(spec.theta, spec.f, spec.weights))
+
+
+def _ln_psi(theta: float, f, weights) -> float:
+    logs = np.log(np.asarray(f, dtype=float))
+    w = np.asarray(weights, dtype=float)
+    return float(-theta * np.dot(w, logs)) + 0.0
 
 
 def ensemble_comparison(
@@ -307,11 +311,11 @@ def ensemble_comparison(
                 f"lambda_eff = rho c n^alpha is {lam_eff!r} at n = {n}, not a finite positive double"
             )
         lams.append(lam_eff)
-    # psi_theta of the equal-weight GrandEnsembleSpec, without a second check of f
+    # psi_theta of the equal-weight GrandEnsembleSpec, whose check of f would
+    # repeat geometric_mean's
     if not (math.isfinite(theta) and theta > 0.0):
         raise ValueError("theta must be a positive real")
-    w = np.full(len(f), 1.0 / len(f))
-    ln_psi = float(-theta * np.dot(w, np.log(np.asarray(f, dtype=float)))) + 0.0
+    ln_psi = _ln_psi(theta, f, (1.0 / len(f),) * len(f))
     # epsilon is checked before the first contour call
     regimes = [classify_regime(lam_eff, epsilon).regime for lam_eff in lams]
     return [
