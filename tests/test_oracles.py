@@ -229,8 +229,9 @@ def test_a_numpy_integer_n_gives_the_int_results(n, routes, lam):
                 for v in (res.value.ln_value, res.err_ln, res.slope)]
 
     for route in routes:
-        assert fields(route(np.int64(n), lam)) == fields(route(n, lam))
-        assert all(f is None or f[0] is float for f in fields(route(n, lam)))
+        expected = fields(route(n, lam))
+        assert fields(route(np.int64(n), lam)) == expected
+        assert all(f is None or f[0] is float for f in expected)
 
 
 def _closed_form(n, lam):
