@@ -66,8 +66,7 @@ class GrandEnsembleSpec:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and self.theta > 0.0):
-            raise ValueError("theta must be a positive real")
+        _check_theta(self.theta)
         if len(self.f) != len(self.weights) or not self.f:
             raise ValueError("f and weights must be nonempty and of equal length")
         geometric_mean(self.f)  # the one check of f's entries
@@ -255,13 +254,18 @@ def unit_crossing(n: int) -> float:
 
 def psi_theta(spec: GrandEnsembleSpec) -> LogValue:
     """ln Psi_theta(f) = -theta * sum_k weights_k ln f_k."""
-    return LogValue(_ln_psi(spec.theta, spec.f, spec.weights))
+    return _psi(spec.theta, spec.f, spec.weights)
 
 
-def _ln_psi(theta: float, f, weights) -> float:
+def _check_theta(theta: float) -> None:
+    if not (math.isfinite(theta) and theta > 0.0):
+        raise ValueError("theta must be a positive real")
+
+
+def _psi(theta: float, f, weights) -> LogValue:
     logs = np.log(np.asarray(f, dtype=float))
     w = np.asarray(weights, dtype=float)
-    return float(-theta * np.dot(w, logs)) + 0.0
+    return LogValue(float(-theta * np.dot(w, logs)) + 0.0)
 
 
 def ensemble_comparison(
@@ -313,9 +317,8 @@ def ensemble_comparison(
         lams.append(lam_eff)
     # psi_theta of the equal-weight GrandEnsembleSpec, whose check of f would
     # repeat geometric_mean's
-    if not (math.isfinite(theta) and theta > 0.0):
-        raise ValueError("theta must be a positive real")
-    ln_psi = _ln_psi(theta, f, (1.0 / len(f),) * len(f))
+    _check_theta(theta)
+    ln_psi = _psi(theta, f, (1.0 / len(f),) * len(f)).ln_value
     # epsilon is checked before the first contour call
     regimes = [classify_regime(lam_eff, epsilon).regime for lam_eff in lams]
     return [

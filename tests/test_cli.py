@@ -1,5 +1,6 @@
 """CLI surface: exit codes, CSV schemas, byte stability, SVG output."""
 
+import argparse
 import hashlib
 import math
 import os
@@ -8,10 +9,11 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hslaplace
-from hslaplace.cli import main
+from hslaplace.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -335,6 +337,32 @@ def test_ensemble_with_an_n_beyond_the_largest_double_exits_one(capsys):
     )
     assert code == 1 and out == ""
     assert err.startswith("error (ensemble): ensemble_comparison requires n <= max float")
+
+
+def test_ensemble_with_an_overflowing_ln_psi_theta_exits_one(capsys):
+    with np.errstate(over="ignore"):  # numpy's overflow warning still leaks
+        code, out, err = run_cli(
+            capsys, "ensemble", "--f", "1e-300", "--theta", "1e306", "--epsilon", "0.05",
+            "--n-grid", "2,3",
+        )
+    assert code == 1 and out == ""
+    assert err == "error (ensemble): ln_value must be finite, got inf\n"
+
+
+def _subcommands():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+@pytest.mark.parametrize("command", _subcommands())
+def test_help_of_every_subcommand(capsys, command):
+    # argparse formats help strings only when --help is printed, so a stray %
+    # or a bad BooleanOptionalAction help fails only here
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: hslaplace {command} ")
 
 
 def test_usage_error_exits_two():

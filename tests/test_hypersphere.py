@@ -426,6 +426,19 @@ class TestEnsembleComparison:
         with pytest.raises(ValueError, match="n_grid"):
             ensemble_comparison((1.0, 2.0), 1.0, (1.0, 0.0), (), epsilon=-1.0)
 
+    @pytest.mark.parametrize("theta", [-1.0, 0.0, math.nan, math.inf])
+    def test_refuses_a_bad_theta(self, theta):
+        with pytest.raises(ValueError, match="^theta must be a positive real$"):
+            ensemble_comparison((1.0, 2.0), theta, (1.0, 0.0), (2, 3), epsilon=0.05)
+
+    def test_refuses_an_ln_psi_theta_that_overflows(self):
+        # -theta ln f = 1e306 * 690.8 passes the largest double; numpy's
+        # overflow warning still leaks, so it is silenced here
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="^ln_value must be finite, got inf$"
+        ):
+            ensemble_comparison((1e-300,), 1e306, (1.0, 0.0), (2, 3), epsilon=0.05)
+
     def test_a_bad_epsilon_makes_no_contour_call(self, monkeypatch):
         # it ran fn_contour(5, ...) before classify_regime refused epsilon
         calls = []
