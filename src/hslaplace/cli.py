@@ -116,6 +116,15 @@ def _cmd_ensemble(args) -> str:
     ])
 
 
+def _exp_ln_l(ln_l: float) -> float:
+    try:
+        return math.exp(ln_l)
+    except OverflowError:
+        raise ValueError(
+            f"ln_L = {ln_l!r} is above ln(max float) ~ 709.78: L is not a finite double"
+        ) from None
+
+
 def _cmd_plot(args) -> str:
     text = Path(args.table).read_text(encoding="ascii")
     lines = [ln for ln in text.splitlines() if ln]
@@ -131,7 +140,7 @@ def _cmd_plot(args) -> str:
         raise ValueError(f"every table row must have the header's {len(header)} columns")
     lam = [float(r[idx["lambda"]]) for r in rows]
     gam = [float(r[idx["gamma"]]) for r in rows]
-    big_l = [math.exp(float(r[idx["ln_L"]])) for r in rows]
+    big_l = [_exp_ln_l(float(r[idx["ln_L"]])) for r in rows]
     out_dir = Path(args.out or ".")
     # made before the first plot, which may refuse its data
     out_dir.mkdir(parents=True, exist_ok=True)

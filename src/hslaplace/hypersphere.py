@@ -265,7 +265,9 @@ def _check_theta(theta: float) -> None:
 def _psi(theta: float, f, weights) -> LogValue:
     logs = np.log(np.asarray(f, dtype=float))
     w = np.asarray(weights, dtype=float)
-    return LogValue(float(-theta * np.dot(w, logs)) + 0.0)
+    # an overflow to +-inf is LogValue's to refuse, without numpy's warning first
+    with np.errstate(over="ignore"):
+        return LogValue(float(-theta * np.dot(w, logs)) + 0.0)
 
 
 def ensemble_comparison(

@@ -293,6 +293,18 @@ def test_plot_bad_table_exits_one(tmp_path, capsys, text):
     assert "Traceback" not in err
 
 
+def test_plot_refuses_an_ln_l_beyond_the_largest_double(tmp_path, capsys):
+    # math.exp of an ln_L cell above 709.78 raised an OverflowError traceback
+    table = tmp_path / "table.csv"
+    table.write_text("lambda,gamma,ln_L,sigma\n1.0,1.46,800,1.0\n2.0,1.9,799,1.0\n")
+    out_dir = tmp_path / "svg"
+    code, out, err = run_cli(capsys, "plot", "--table", str(table), "--out", str(out_dir))
+    assert (code, out) == (1, "")
+    assert err == ("error (plot): ln_L = 800.0 is above ln(max float) ~ 709.78: "
+                   "L is not a finite double\n")
+    assert not out_dir.exists()
+
+
 def test_ensemble_empty_grid_exits_one(capsys):
     # an empty grid printed a bare header and exited 0, never checking epsilon
     code, out, err = run_cli(

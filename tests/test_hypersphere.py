@@ -439,6 +439,14 @@ class TestEnsembleComparison:
         ):
             ensemble_comparison((1e-300,), 1e306, (1.0, 0.0), (2, 3), epsilon=0.05)
 
+    def test_an_overflowing_ln_psi_theta_is_refused_without_a_warning(self):
+        # numpy's overflow RuntimeWarning came before LogValue's refusal; the
+        # suite's error::RuntimeWarning filter turns a leaked one into a failure
+        with pytest.raises(ValueError, match="^ln_value must be finite, got inf$"):
+            ensemble_comparison((1e-300,), 1e306, (1.0, 0.0), (2, 3), epsilon=0.05)
+        with pytest.raises(ValueError, match="^ln_value must be finite, got inf$"):
+            psi_theta(GrandEnsembleSpec(theta=1e306, f=(1e-300,), weights=(1.0,)))
+
     def test_a_bad_epsilon_makes_no_contour_call(self, monkeypatch):
         # it ran fn_contour(5, ...) before classify_regime refused epsilon
         calls = []

@@ -76,6 +76,16 @@ MC_PINNED = [
     (8, 1e8, 5, "-0x1.7d7841d8b38f5p+29", "0x1.e30c7f7d02b1dp-8"),
 ]
 
+# fn_montecarlo(n, lambda, samples, seed): hex of (ln_value, err_ln), pinned
+# while the draws and the weight chain still ran on whole arrays: 16384 samples
+# fill one block of 2^14 exactly, 16385 leave a last block of one element
+MC_BLOCK_PINNED = [
+    (3, 0.7, 16_384, 11, "-0x1.27b430f85c3c7p-1", "0x1.5347352921bc4p-8"),
+    (5, 1e-3, 16_385, 12, "0x1.559d4bd4753dbp+3", "0x1.2b8d3c25b39f5p-7"),
+    (40, 1.0, 16_385, 14, "-0x1.e6f1ef83c8d45p+2", "0x1.fc3ca43e89b59p-7"),
+    (2, 100.0, 100_000, 13, "-0x1.93764ffe2ffc2p+7", "0x1.47518759801bep-10"),
+    (8, 1e8, 100_000, 15, "-0x1.7d7841d8ab169p+29", "0x1.b130e0f423298p-9"),
+]
 
 # fn_contour(n, lambda): hex of (ln_value, err_ln), pinned before the first
 # level's nodes and midpoints went into one ln Gamma call.  err_ln was
@@ -766,6 +776,11 @@ class TestMonteCarlo:
         res = fn_montecarlo(n, lam, 20_000, seed=seed)
         assert (res.value.ln_value.hex(), res.err_ln.hex()) == (ln_f, err_ln)
 
+    @pytest.mark.parametrize("n, lam, samples, seed, ln_f, err_ln", MC_BLOCK_PINNED)
+    def test_seeded_bits_are_pinned_across_block_edges(self, n, lam, samples, seed, ln_f, err_ln):
+        res = fn_montecarlo(n, lam, samples, seed=seed)
+        assert (res.value.ln_value.hex(), res.err_ln.hex()) == (ln_f, err_ln)
+
     def test_different_seeds_differ(self):
         a = fn_montecarlo(3, 0.7, 20_000, seed=1)
         b = fn_montecarlo(3, 0.7, 20_000, seed=2)
@@ -784,16 +799,19 @@ class TestMonteCarlo:
 
     def test_memory_is_linear_in_samples(self):
         # the Gaussian proposal held several (samples x n) arrays: 96 MB at
-        # n = 200; at n = 2, lambda = 100 every |u| < 1/2 takes the Taylor branch
-        samples = 20_000
-        for n, lam in ((200, 1.0), (2, 100.0)):
-            tracemalloc.start()
-            try:
-                fn_montecarlo(n, lam, samples, seed=3)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 10 * samples * 8, (n, lam)
+        # n = 200; at n = 2, lambda = 100 every |u| < 1/2 takes the Taylor branch.
+        # At 2e5 samples the whole-array draw and weight chain peaked at 4.13 and
+        # 5.13 x samples x 8 bytes; the block scheme keeps S and std's temporary
+        for samples, bound, points in ((20_000, 10, ((200, 1.0), (2, 100.0))),
+                                       (200_000, 2.5, ((3, 1.0), (2, 100.0)))):
+            for n, lam in points:
+                tracemalloc.start()
+                try:
+                    fn_montecarlo(n, lam, samples, seed=3)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < bound * samples * 8, (samples, n, lam)
 
     @pytest.mark.parametrize("n, lam", [(10**6, 1e305), (1000, 2e305)])
     def test_saddle_routes_refuse_where_n_ln_l_overflows(self, n, lam):
