@@ -87,6 +87,16 @@ MC_BLOCK_PINNED = [
     (8, 1e8, 100_000, 15, "-0x1.7d7841d8ab169p+29", "0x1.b130e0f423298p-9"),
 ]
 
+# fn_montecarlo(n, lambda, samples, seed): hex of (ln_value, err_ln), pinned
+# while _exp_excess still moved its |u| < 1/2 entries through a boolean mask and
+# the standard error came from np.std: 40%, 13% and 57% of the |S| values fall
+# below 1/2, in random order
+MC_GATHER_PINNED = [
+    (2, 1.0, 100_000, 16, "-0x1.7ad2a2ac7cf7ep+0", "0x1.786d7326a2f7cp-10"),
+    (2, 0.05, 100_000, 17, "0x1.94bda84ec53acp+0", "0x1.e1ce0894c0264p-10"),
+    (3, 5.0, 16_385, 18, "-0x1.eb0c5f8725788p+3", "0x1.33f67685c0cafp-8"),
+]
+
 # fn_contour(n, lambda): hex of (ln_value, err_ln), pinned before the first
 # level's nodes and midpoints went into one ln Gamma call.  err_ln was
 # re-pinned when it gained the rounding floor 1e-15 n (1 + |phi0| +
@@ -427,7 +437,13 @@ class TestExpExcess:
         np.random.default_rng(11).standard_normal(4000)
         * np.repeat([1e-6, 0.1, 0.5, 1.0, 10.0, 300.0, 1e4, 1e6], 500),
         np.empty(0),
-    ], ids=["edges", "normal-corpus", "empty"])
+        np.array([0.25]),
+        np.random.default_rng(12).normal(0.0, 0.7, 1 << 14),
+        np.random.default_rng(13).uniform(-0.5, 0.5, 1 << 14),
+        np.random.default_rng(14).uniform(0.5, 40.0, 1 << 14)
+        * np.random.default_rng(15).choice([-1.0, 1.0], 1 << 14),
+    ], ids=["edges", "normal-corpus", "empty", "length-one", "block-half-small",
+            "block-all-small", "block-none-small"])
     def test_bit_identical_to_the_polyval_form(self, u):
         before = u.tobytes()
         with np.errstate(over="ignore"):
@@ -778,6 +794,13 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("n, lam, samples, seed, ln_f, err_ln", MC_BLOCK_PINNED)
     def test_seeded_bits_are_pinned_across_block_edges(self, n, lam, samples, seed, ln_f, err_ln):
+        res = fn_montecarlo(n, lam, samples, seed=seed)
+        assert (res.value.ln_value.hex(), res.err_ln.hex()) == (ln_f, err_ln)
+
+    @pytest.mark.parametrize("n, lam, samples, seed, ln_f, err_ln", MC_GATHER_PINNED)
+    def test_seeded_bits_are_pinned_with_small_entries_in_random_order(
+        self, n, lam, samples, seed, ln_f, err_ln
+    ):
         res = fn_montecarlo(n, lam, samples, seed=seed)
         assert (res.value.ln_value.hex(), res.err_ln.hex()) == (ln_f, err_ln)
 
