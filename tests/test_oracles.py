@@ -824,9 +824,12 @@ class TestMonteCarlo:
         # the Gaussian proposal held several (samples x n) arrays: 96 MB at
         # n = 200; at n = 2, lambda = 100 every |u| < 1/2 takes the Taylor branch.
         # At 2e5 samples the whole-array draw and weight chain peaked at 4.13 and
-        # 5.13 x samples x 8 bytes; the block scheme keeps S and std's temporary
+        # 5.13 x samples x 8 bytes, and S with np.std's sample-length temporary at
+        # 2.00; S with one block's temporaries and the standard error in place in
+        # S peak at 1.34-1.49 (2e5 samples) and 1.07-1.10 (1e6)
         for samples, bound, points in ((20_000, 10, ((200, 1.0), (2, 100.0))),
-                                       (200_000, 2.5, ((3, 1.0), (2, 100.0)))):
+                                       (200_000, 1.75, ((3, 1.0), (2, 100.0))),
+                                       (1_000_000, 1.25, ((3, 1.0), (2, 100.0)))):
             for n, lam in points:
                 tracemalloc.start()
                 try:
