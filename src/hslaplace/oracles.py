@@ -469,8 +469,8 @@ def fn_montecarlo(n: int, lam: float, samples: int, seed: int) -> OracleResult:
     underflow; the n - 1 ln U sum to minus one Gamma(n - 1) draw.  S is the
     only array of length samples: the draws and the weight chain go through
     it in blocks of 2^14, and only the max, exp, mean and the standard error,
-    formed in place, see it whole.  The traced peak is 1.34-1.49 x samples x 8
-    bytes at 2e5 samples and 1.07-1.10 x at 1e6 (S and one block's
+    formed in place, see it whole.  The traced peak is 1.35-1.59 x samples x 8
+    bytes at 2e5 samples and 1.07-1.12 x at 1e6 (S and one block's
     temporaries; 2.00 x while np.std made a temporary of length samples).
     Time is O(n samples), so n is capped at the route's 1000; err_ln is one
     standard error + the rounding of n ln L.
