@@ -29,11 +29,12 @@ from .oracles import (
     Method,
     OracleResult,
     _check_n,
+    _ln_l_rounding,
     evaluate,
     fn_contour,
     fn_saddle_asymptotic,
 )
-from .saddle import critical_point
+from .saddle import critical_point, solve_saddle
 
 
 @dataclass(frozen=True)
@@ -221,11 +222,10 @@ def unit_crossing(n: int) -> float:
     1. secant steps on the saddle-point route ``fn_saddle_asymptotic``, from
        the root u_cr - ln(2 pi n) / (2 n gamma_cr) of its leading terms
        n ln L - (1/2) ln(2 pi n) linearised at lambda_cr, with the saddle
-       slope dg/du ~ -n gamma_cr, until |g| < 1e-14 n, the rounding of
-       n ln L near lambda_cr (ln Gamma is good to ~8e-15 absolute there).
-       This makes no contour call.  Near lambda_cr the route is within
-       0.003 / n^3 of ln F_n, so from n ~ 340 up phase 2 ends at its first
-       call.
+       slope dg/du ~ -n gamma_cr, until |g| is below the error of n ln L at
+       lambda_cr (``_ln_l_rounding``).  This makes no contour call.  Near
+       lambda_cr the route is within 0.003 / n^3 of ln F_n, so from n ~ 340
+       up phase 2 ends at its first call.
     2. Newton steps on the contour oracle, with the slope d ln F_n / d ln
        lambda that it returns, from phase 1's u, until |g| < 1e-10.
 
@@ -237,7 +237,7 @@ def unit_crossing(n: int) -> float:
     n = _check_n(n, 2, "unit_crossing")
     cp = critical_point()
     u_cr = math.log(cp.lambda_cr)
-    rounding = 1e-14 * n
+    rounding = _ln_l_rounding(n, solve_saddle(cp.lambda_cr))
 
     def saddle(u):
         return fn_saddle_asymptotic(n, math.exp(u)).value.ln_value, rounding, None

@@ -163,8 +163,8 @@ def fn_quadrature(n: int, lam: float, tol: float = 1e-9) -> OracleResult:
         # node i h sits at index i mod 2K; moments in units of h cannot underflow
         i = (np.arange(2 * k) + k) % (2 * k) - k
         q = np.exp(-gamma * _exp_excess(h * i - d))
-        mu = float(q @ i) / float(q.sum())
-        var = float(q @ (i - mu) ** 2) / float(q.sum())
+        mu = float((q * i).sum()) / float(q.sum())
+        var = float((q * (i - mu) ** 2).sum()) / float(q.sum())
         if n * mu * mu > 1e-6 * var:
             step = -mu / (var * h)  # Newton: d mu / d gamma = lattice variance
             gamma, d = gamma + step, d + math.log1p(step / gamma)
@@ -270,13 +270,10 @@ def fn_contour(n: int, lam: float) -> OracleResult:
     exp(-2 pi gamma / h) (Trefethen & Weideman, SIAM Rev. 56, 2014), so h
     starts at min(T/50, 2 pi gamma / ln 1e14), but not below T/4000, and is
     halved, reusing every node, until the halving difference of ln S is at
-    most 1e-13 (1 + |n phi(0)|) plus a rounding floor
-    1e-15 n (1 + |phi(0)| + gamma |ln lambda|), or h reaches T/8000.  The
-    error claim is the last halving difference + exp(-2 pi gamma / h) +
-    10 x (integrand at T) + 1e-12 (1 + |ln F|) + that rounding floor +
-    1e-14 n, the error of n ln Gamma(gamma) in n phi(0): ln Gamma is good to
-    8e-15 absolute, not relative, on (0.5, 9.5), and near lambda_cr at
-    n = 1e5 the value was 1.5 times the claim off without this term.
+    most 1e-13 (1 + |n phi(0)|) plus the error of n phi(0) = n ln L
+    (``_ln_l_rounding``), or h reaches T/8000.  The error claim is the last
+    halving difference + exp(-2 pi gamma / h) + 10 x (integrand at T) +
+    1e-12 (1 + |ln F|) + that error of n ln L.
 
     The same nodes give the slope: differentiating under the integral brings
     down -n (gamma + it), and t Im exp(n phi(t)) is odd, so
@@ -365,7 +362,7 @@ def fn_contour(n: int, lam: float) -> OracleResult:
     acc = float(u[0] + u[m] + 2.0 * u[1:m].sum())
     ln_s = ln_sum(acc, h)
     t_acc = float(t[m] * w[m] + 2.0 * np.dot(t[1:m], w[1:m]))
-    rounding = 1e-15 * n * (1.0 + abs(phi0) + gamma * abs(ln_lam))
+    rounding = _ln_l_rounding(n, sol)
     tol = 1e-13 * (1.0 + abs(n * phi0)) + rounding
     t, u, w = t[m + 1:], u[m + 1:], w[m + 1:]
     while True:
@@ -382,7 +379,7 @@ def fn_contour(n: int, lam: float) -> OracleResult:
         u, w = v.real, v.imag
     ln_f = n * phi0 - math.log(2.0 * math.pi) + ln_s
     err = (diff + math.exp(-2.0 * math.pi * gamma / h) + 10.0 * tail + 1e-12 * (1.0 + abs(ln_f))
-           + rounding + 1e-14 * n)
+           + rounding)
     return OracleResult(LogValue(ln_f), err, Method.CONTOUR, -n * (gamma - t_acc / acc))
 
 
@@ -395,8 +392,13 @@ _REMAINDER_C = 4e-4
 
 
 def _ln_l_rounding(n: int, sol: SaddleSolution) -> float:
-    """A bound on the rounding of n ln L (ln L is good to ~1e-14 relative)."""
-    return 1e-15 * n * (1.0 + abs(sol.ln_L) + 2.0 * sol.gamma * abs(math.log(sol.lam)))
+    """The one bound on the error of n ln L, 1e-15 n (1 + |ln L| + 2 gamma |ln lambda|)
+    + 1e-14 n.  ln L = ln Gamma(gamma) - gamma ln lambda cancels at large lambda
+    (n ln L was 4.6e186 off at n = 3, lambda = 1e200), and ln Gamma is good to 8e-15
+    absolute, not relative, on (0.5, 9.5) (near lambda_cr at n = 1e5 the contour
+    was 1.5 times its claim off without the 1e-14 n)."""
+    rel = 1e-15 * n * (1.0 + abs(sol.ln_L) + 2.0 * sol.gamma * abs(math.log(sol.lam)))
+    return rel + 1e-14 * n
 
 
 def _check_n_ln_l(n: int, sol: SaddleSolution) -> None:
@@ -418,16 +420,12 @@ def fn_saddle_asymptotic(n: int, lam: float) -> OracleResult:
 
     and the error claim is
 
-        C rho^6 / n^3 + 1e-10 + 1e-14 n + r,  C = 4e-4,
+        C rho^6 / n^3 + 1e-10 + r,  C = 4e-4,
         rho^2 = max(lambda_3^2, |lambda_4|, |lambda_5|^(2/3), |lambda_6|^(1/2)),
 
-    r = 1e-15 n (1 + |ln L| + 2 gamma |ln lambda|) being the rounding of n ln L
-    and 1e-14 n that of n ln Gamma(gamma), which is good to 8e-15 absolute, not
-    relative, on (0.5, 9.5): near lambda_cr, at n = 1e5 and 1e6, the value was
-    up to 5 r off a 40-digit evaluation of the same expansion before this term.
-    Every term of order 1/n^3 is a weight-6 product of the lambda_j, so rho^6
-    sets its size; C is measured (``_REMAINDER_C``).  Cross-oracle tests confirm
-    the claim from n = 1 to 1e5.
+    r being the error of n ln L (``_ln_l_rounding``).  Every term of order
+    1/n^3 is a weight-6 product of the lambda_j, so rho^6 sets its size; C is
+    measured (``_REMAINDER_C``).  Cross-oracle tests confirm it from n = 1 to 1e5.
     """
     n = _check_n(n, 1, "fn_saddle_asymptotic")
     lam = _check_lambda(lam)
@@ -444,12 +442,13 @@ def fn_saddle_asymptotic(n: int, lam: float) -> OracleResult:
     a = l4 / 8.0 - 5.0 * l3 * l3 / 24.0
     b = (385.0 * l3**4 / 1152.0 - 35.0 * l3 * l3 * l4 / 64.0 + 35.0 * l4 * l4 / 384.0
          + 7.0 * l3 * l5 / 48.0 - l6 / 48.0)
-    ln_f = n * sol.ln_L - 0.5 * math.log(2.0 * math.pi * n * sigma)
+    spread = 2.0 * math.pi * n * sigma  # inf at n = 1e303, lambda = 1e-300; its log is not
+    ln_f = n * sol.ln_L - 0.5 * (math.log(spread) if spread < math.inf
+                                 else math.log(2.0 * math.pi * sigma) + math.log(n))
     ln_f += (a + (b - 0.5 * a * a) / n) / n
     rho6 = max(l3 * l3, abs(l4), abs(l5) ** (2.0 / 3.0), math.sqrt(abs(l6))) ** 3
     # past n ~ 5.6e102, n^3 is no double (int / float would raise OverflowError)
-    err = _REMAINDER_C * rho6 / min(n**3, sys.float_info.max) + 1e-10 + 1e-14 * n
-    err += _ln_l_rounding(n, sol)
+    err = _REMAINDER_C * rho6 / min(n**3, sys.float_info.max) + 1e-10 + _ln_l_rounding(n, sol)
     return OracleResult(LogValue(ln_f), err, Method.ASYMPTOTIC)
 
 
@@ -473,7 +472,7 @@ def fn_montecarlo(n: int, lam: float, samples: int, seed: int) -> OracleResult:
     bytes at 2e5 samples and 1.07-1.12 x at 1e6 (S and one block's
     temporaries; 2.00 x while np.std made a temporary of length samples).
     Time is O(n samples), so n is capped at the route's 1000; err_ln is one
-    standard error + the rounding of n ln L.
+    standard error + the error of n ln L (``_ln_l_rounding``).
     """
     n = _check_n(n, 2, "fn_montecarlo")
     lam = _check_lambda(lam)

@@ -10,8 +10,6 @@ import math
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        return [lo]
     return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 

@@ -13,6 +13,7 @@ import pytest
 
 import hslaplace
 from hslaplace.cli import build_parser, main
+from hslaplace.svgplot import line_plot_svg
 
 
 def run_cli(capsys, *argv):
@@ -134,12 +135,14 @@ def test_compare_exact_routes_agree(capsys):
 
 
 # the asymptotic cell at n = 40 was -7.6063989624689121e+00 before the route
-# gained its 1/n and 1/n^2 terms
+# gained its 1/n and 1/n^2 terms.  The quadrature cell was -7.6057313734996121e+00
+# and the deviation 4.6185277824406512e-14 while the lattice moments went
+# through BLAS dot products instead of numpy sums
 @pytest.mark.parametrize("argv, refused, row", [
     ("compare --n 40 --lambda 1 --samples 5000 --seed 3",
      "refused (monte-carlo): fn_montecarlo requires samples >= 10^4\n",
-     "40,1.0000000000000000e+00,,-7.6057313734996121e+00,-7.6057313734996583e+00,,"
-     "-7.6057313295448479e+00,4.6185277824406512e-14\n"),
+     "40,1.0000000000000000e+00,,-7.6057313734996086e+00,-7.6057313734996583e+00,,"
+     "-7.6057313295448479e+00,4.9737991503207013e-14\n"),
     ("compare --n 3 --lambda 1e8 --tol 1e-2",
      "refused (quadrature): tol must lie in [1e-12, 1e-3]\n",
      "3,1.0000000000000000e+08,,,-3.0000001713211024e+08,,-3.0000001713210988e+08,"
@@ -292,6 +295,35 @@ def test_plot_bad_table_exits_one(tmp_path, capsys, text):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("lambda,gamma,sigma\n1.0,1.46,1.0\n2.0,1.9,1.0\n",
+     "table must provide columns ['gamma', 'lambda', 'ln_L']"),
+    ("lambda,gamma,ln_L,sigma\n", "need at least two points with matching lengths"),
+    ("lambda,gamma,ln_L,sigma\n1.0,1.46,0.0,1.0\ninf,1.9,-1.0,1.0\n",
+     "plot data must be finite"),
+], ids=["no-ln_L-column", "header-only", "inf-cell"])
+def test_plot_refusal_messages(tmp_path, capsys, text, message):
+    table = tmp_path / "table.csv"
+    table.write_text(text)
+    code, out, err = run_cli(capsys, "plot", "--table", str(table), "--out", str(tmp_path))
+    assert (code, out, err) == (1, "", f"error (plot): {message}\n")
+
+
+@pytest.mark.parametrize("xs, ys, axis", [
+    ([2.0, 2.0, 2.0], [1.0, 2.0, 3.0], 0), ([1.0, 2.0, 3.0], [5.0, 5.0, 5.0], 1),
+], ids=["constant-x", "constant-y"])
+def test_svg_of_constant_data_widens_its_range_by_one(xs, ys, axis):
+    root = ET.fromstring(line_plot_svg(xs, ys, title="t", x_label="x", y_label="y"))
+    (line,) = [el for el in root.iter() if el.tag.endswith("polyline")]
+    points = [tuple(map(float, p.split(","))) for p in line.get("points").split()]
+    # the constant coordinate sits at the low end of [v, v + 1]: the left or the bottom axis
+    assert {p[axis] for p in points} == {(70.0, 425.0)[axis]}
+    assert len({p[1 - axis] for p in points}) == 3
+    labels = [el.text for el in root.iter() if el.tag.endswith("text")]
+    constant = (xs, ys)[axis][0]
+    assert all(f"{constant + i / 4:.3g}" in labels for i in range(5))
+
+
 def test_plot_refuses_an_ln_l_beyond_the_largest_double(tmp_path, capsys):
     # math.exp of an ln_L cell above 709.78 raised an OverflowError traceback
     table = tmp_path / "table.csv"
@@ -397,6 +429,11 @@ def test_bad_grid_exits_one(capsys):
     assert "grid" in err
 
 
+def test_log_grid_refuses_a_zero_endpoint(capsys):
+    code, out, err = run_cli(capsys, "table", "--grid-min", "0", "--grid-max", "2")
+    assert (code, out, err) == (1, "", "error (table): log grid requires positive endpoints\n")
+
+
 # Output of the release before the oracle dispatch was collected into one
 # route table; a refactor must reproduce it byte for byte.  Values changed
 # since on purpose: the asymptotic err_est gained its c (|t1| + |t2|) / n^2
@@ -422,7 +459,9 @@ def test_bad_grid_exits_one(capsys):
 # 9.4368957093138306e-16 -> 1.4988010832439613e-15.  The contour err_est
 # gained the rounding floor 1e-15 n (1 + |phi0| + gamma |ln lambda|)
 # (2.5443751122522321e-12 before), then 1e-14 n for the absolute error of
-# n ln Gamma(gamma) (2.5466180848333038e-12 before).
+# n ln Gamma(gamma) (2.5466180848333038e-12 before).  The Monte Carlo err_est
+# gained that 1e-14 n when its rounding term became the routes' one bound on
+# the error of n ln L (3.2125650769621217e-03 before).
 TABLE_0_1_TO_2 = (
     "lambda,gamma,ln_L,sigma\n"
     "1.0000000000000001e-01,4.3858744402204280e-01,1.7128534606447703e+00,6.1871134186350440e+00\n"
@@ -449,7 +488,7 @@ GOLDEN = [
      "2,1.0000000000000000e+00,asymptotic,-1.4791528889683918e+00,2.6979759392741090e-03\n"),
     ("oracle --method monte-carlo --n 2 --lambda 1 --samples 20000 --seed 3",
      "n,lambda,method,ln_F,err_est\n"
-     "2,1.0000000000000000e+00,monte-carlo,-1.4826168743758528e+00,3.2125650769621217e-03\n"),
+     "2,1.0000000000000000e+00,monte-carlo,-1.4826168743758528e+00,3.2125650769821218e-03\n"),
     ("compare --n 2 --lambda 1",
      "n,lambda,closed-form,quadrature,contour,monte-carlo,asymptotic,max_pairwise_dev\n"
      "2,1.0000000000000000e+00,-1.4793410244157648e+00,-1.4793410244157648e+00,"

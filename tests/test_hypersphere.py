@@ -350,6 +350,15 @@ class TestPsiTheta:
         with pytest.raises(ValueError):
             GrandEnsembleSpec(theta=-1.0, f=(1.0, 2.0), weights=(0.5, 0.5))
 
+    @pytest.mark.parametrize("f, weights, message", [
+        ((1.0, 2.0), (1.0,), "f and weights must be nonempty and of equal length"),
+        ((), (), "f and weights must be nonempty and of equal length"),
+        ((1.0, 2.0), (1.5, -0.5), "weights must be nonnegative"),
+    ], ids=["unequal-lengths", "empty", "negative-weight"])
+    def test_refusal_messages(self, f, weights, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GrandEnsembleSpec(theta=1.0, f=f, weights=weights)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_weights(self, bad):
         # w < 0 and |fsum - 1| > 1e-12 are both False for NaN, so a NaN weight
