@@ -705,7 +705,8 @@ LN_F_BAND = {
 
 
 def _n3_deviation(n, lam):
-    """n^3 (exact - asymptotic) and n^3 times the route's rounding term."""
+    """n^3 (exact - asymptotic) and n^3 times the relative rounding of n ln L
+    (without _ln_l_rounding's 1e-14 n)."""
     a = fn_saddle_asymptotic(n, lam)
     # the relative rounding of n ln L, written out: _ln_l_rounding's 1e-14 n
     # would add 8.1e-5 to n^3 rounding at n = 300, 40% of the 2e-4 bound below
