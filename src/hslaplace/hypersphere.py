@@ -265,9 +265,10 @@ def _check_theta(theta: float) -> None:
 def _psi(theta: float, f, weights) -> LogValue:
     logs = np.log(np.asarray(f, dtype=float))
     w = np.asarray(weights, dtype=float)
-    # an overflow to +-inf is LogValue's to refuse, without numpy's warning first
+    # an overflow to +-inf is LogValue's to refuse, without numpy's warning first;
+    # a numpy sum, not np.dot, whose BLAS may split a long f over threads
     with np.errstate(over="ignore"):
-        return LogValue(float(-theta * np.dot(w, logs)) + 0.0)
+        return LogValue(float(-theta * (w * logs).sum()) + 0.0)
 
 
 def ensemble_comparison(

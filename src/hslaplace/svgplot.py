@@ -10,7 +10,18 @@ import math
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    return [lo + (hi - lo) * i / 4 for i in range(5)]
+    # i / 4 first: (hi - lo) * i overflows where hi - lo > max float / 4
+    return [lo + (hi - lo) * (i / 4) for i in range(5)]
+
+
+def _widen(lo: float, hi: float) -> tuple[float, float]:
+    """[lo, hi], or for constant data v the range [v, v + 1], or [v/2, v] in
+    order where v + 1.0 rounds to v (|v| >= 2^53), finite up to max float."""
+    if hi != lo:
+        return lo, hi
+    if lo + 1.0 != lo:
+        return lo, lo + 1.0
+    return min(lo, lo / 2), max(lo, lo / 2)
 
 
 def line_plot_svg(x, y, *, title: str, x_label: str, y_label: str) -> str:
@@ -23,12 +34,8 @@ def line_plot_svg(x, y, *, title: str, x_label: str, y_label: str) -> str:
         raise ValueError("plot data must be finite")
     width, height = 720, 480
     ml, mr, mt, mb = 70, 20, 40, 55
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _widen(min(xs), max(xs))
+    y_lo, y_hi = _widen(min(ys), max(ys))
 
     def px(v):
         return ml + (v - x_lo) / (x_hi - x_lo) * (width - ml - mr)

@@ -324,6 +324,27 @@ def test_svg_of_constant_data_widens_its_range_by_one(xs, ys, axis):
     assert all(f"{constant + i / 4:.3g}" in labels for i in range(5))
 
 
+@pytest.mark.parametrize("lam", ["1e20", "1.7e308"])
+def test_plot_of_a_constant_lambda_beyond_2_53(tmp_path, capsys, lam):
+    # v + 1.0 rounds to v there, so widening [v, v] to [v, v + 1] left a range
+    # of zero width and the SVG's coordinates ended in a ZeroDivisionError
+    table = tmp_path / "table.csv"
+    table.write_text(f"lambda,gamma,ln_L,sigma\n{lam},1.0,0.1,1.0\n{lam},2.0,0.2,1.0\n")
+    code, _, err = run_cli(capsys, "plot", "--table", str(table), "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    # lambda is the y data of the one plot and the x data of the other
+    for name in ("lambda_of_gamma.svg", "L_of_lambda.svg"):
+        root = ET.fromstring((tmp_path / name).read_text())
+        coords = [float(v) for el in root.iter() for key, v in el.attrib.items()
+                  if key in ("x", "y", "x1", "y1", "x2", "y2")]
+        (line,) = [el for el in root.iter() if el.tag.endswith("polyline")]
+        coords += [float(c) for p in line.get("points").split() for c in p.split(",")]
+        ticks = [float(el.text) for el in root.iter()
+                 if el.tag.endswith("text") and el.get("font-size") == "11"]
+        assert len(ticks) == 10 and all(map(math.isfinite, coords + ticks)), name
+        assert float(lam) in ticks, name
+
+
 def test_plot_refuses_an_ln_l_beyond_the_largest_double(tmp_path, capsys):
     # math.exp of an ln_L cell above 709.78 raised an OverflowError traceback
     table = tmp_path / "table.csv"

@@ -342,6 +342,17 @@ class TestPsiTheta:
         )
         assert abs(psi_theta(coarse).ln_value - psi_theta(fine).ln_value) < 1e-12
 
+    def test_bits_do_not_depend_on_the_blas_thread_count(self, stdout_at_one_and_two_blas_threads):
+        # np.dot(w, ln f) went to OpenBLAS, which splits 1e5 entries over its
+        # threads: one thread printed 0x1.35852e4f1c1cap-10 and two ...1ccp-10
+        outputs = stdout_at_one_and_two_blas_threads(
+            "import numpy as np\n"
+            "from hslaplace import GrandEnsembleSpec, psi_theta\n"
+            "f = np.exp(np.random.default_rng(0).standard_normal(100_000))\n"
+            "spec = GrandEnsembleSpec(theta=1.3, f=tuple(f.tolist()), weights=(1e-5,) * 100_000)\n"
+            "print(psi_theta(spec).ln_value.hex())\n")
+        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 1
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             GrandEnsembleSpec(theta=1.0, f=(1.0, 2.0), weights=(0.5, 0.6))

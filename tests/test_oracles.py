@@ -2,15 +2,11 @@
 
 import dataclasses
 import math
-import os
 import re
-import subprocess
-import sys
 import time
 import tracemalloc
 import warnings
 from decimal import Decimal
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -407,6 +403,17 @@ class TestContourNodes:
         fn_contour(1, 1e-20)
         assert sum(size for _, size in calls) <= 16_001
 
+    def test_node_cap_scratch_memory_is_bounded(self):
+        # the 8014 nodes at (1, 1e-20) were shifted in one 11 x 8014 complex
+        # block, a 4.36 MiB traced peak; 2048-column blocks peak at 1.75 MiB
+        tracemalloc.start()
+        try:
+            fn_contour(1, 1e-20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
 
 def _contour_outcome(n, lam):
     """Hex of (ln_value, err_ln, slope), or the refusal message."""
@@ -534,23 +541,15 @@ class TestQuadrature:
             with pytest.raises(ValueError, match=re.escape(f"n = {n}, lambda = {lam!r}")):
                 fn_quadrature(n, lam)
 
-    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+    def test_bits_do_not_depend_on_the_blas_thread_count(self, stdout_at_one_and_two_blas_threads):
         # OpenBLAS splits the dot products q @ i and q @ (i - mu)^2 over threads
         # for long lattices: (100, 1e-6) printed ln_F ...370e+02 with one thread
         # and ...376e+02 with two while the moments went through BLAS
-        src = str(Path(hslaplace.oracles.__file__).resolve().parents[1])
-        code = ("from hslaplace import fn_quadrature\n"
-                "for n, lam in ((100, 1e-6), (2, 1e-20), (3, 1.0)):\n"
-                "    r = fn_quadrature(n, lam)\n"
-                "    print(r.value.ln_value.hex(), r.err_ln.hex())\n")
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-                filter(None, [src, os.environ.get("PYTHONPATH")])))
-            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                  env=env, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(proc.stdout)
+        outputs = stdout_at_one_and_two_blas_threads(
+            "from hslaplace import fn_quadrature\n"
+            "for n, lam in ((100, 1e-6), (2, 1e-20), (3, 1.0)):\n"
+            "    r = fn_quadrature(n, lam)\n"
+            "    print(r.value.ln_value.hex(), r.err_ln.hex())\n")
         assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 3
 
     def test_rejects_bad_arguments(self):

@@ -17,6 +17,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hslaplace.oracles
 from hslaplace import (
     EULER_GAMMA,
     bessel_k0,
@@ -462,10 +463,31 @@ def test_small_and_huge_arguments_in_one_array(z):
         assert [v.hex() for v in got.tolist()] == [f(v).hex() for v in z.tolist()]
 
 
+def test_blocks_of_2_11_and_2_15_columns_give_the_same_bits(monkeypatch):
+    # columns are independent, so the block width moves no bit at the widths
+    # the package runs: 1e5 values, and the contour's node-cap row
+    x = np.random.default_rng(5).uniform(0.0, 15.0, 100_000)
+    x[x == 0.0] = 0.5
+    args = []
+    kernel = hslaplace.oracles.ln_gamma_complex
+    monkeypatch.setattr(hslaplace.oracles, "ln_gamma_complex", lambda z: args.append(z) or kernel(z))
+    hslaplace.oracles.fn_contour(1, 1e-20)
+    z = max(args, key=np.size)
+    assert z.size == 8014
+
+    def outputs(columns):
+        monkeypatch.setattr(specfun, "_BLOCK_COLUMNS", columns)
+        return [f(x).tobytes() for f in (ln_gamma, digamma, trigamma)] + [
+            ln_gamma_complex(z).tobytes()]
+
+    assert outputs(1 << 15) == outputs(1 << 11)
+
+
 def test_ln_gamma_scratch_memory_is_bounded():
     # a (steps + 1) x size block would need 11 x the input's bytes below 1,
-    # plus the terms; shifted _BLOCK_COLUMNS columns at a time the peak is
-    # 6.00 x the input's bytes, as with the prefix-slice loop before (6.00 x)
+    # plus the terms; at 1e6 values the peak is the full-length arrays of the
+    # closing formula, 6.00 x the input's bytes with 2^15- and 2^11-column
+    # blocks alike, as with the prefix-slice loop before (6.00 x)
     x = np.random.default_rng(0).uniform(0.0, 1.0, 1_000_000)
     x[x == 0.0] = 0.5
     tracemalloc.start()
