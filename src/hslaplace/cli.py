@@ -6,8 +6,9 @@ critical   gamma_cr, lambda_cr and the defining-equation residual
 eval       saddle data (gamma, ln_L, L, sigma) at one lambda
 table      CSV ``lambda,gamma,ln_L,sigma`` over a grid
 oracle     CSV ``n,lambda,method,ln_F,err_est`` for one oracle
-compare    all applicable oracles side by side + max pairwise deviation; a
-           route that refuses leaves its cell empty and is named on stderr
+compare    all applicable oracles side by side + max pairwise deviation, one
+           row per (n, lambda) pair of its comma lists; a route that refuses
+           leaves its cell empty and is named on stderr
 regime     divergence / vanishing classification of a lambda_eff
 ensemble   the radius-schedule comparison table
 plot       SVG renderings of lambda(gamma) and L(lambda) from a table CSV
@@ -51,6 +52,15 @@ def _csv(header: str, rows) -> str:
     return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
 
 
+def _comma_list(convert):
+    """An argparse ``type``: comma-separated ``convert`` values, empty entries
+    skipped; a bad entry is a usage error "invalid comma-separated int value"."""
+    def parse(text: str) -> list:
+        return [convert(v) for v in text.split(",") if v]
+    parse.__name__ = f"comma-separated {convert.__name__}"
+    return parse
+
+
 def _grid(args) -> np.ndarray:
     if not (args.grid_min < args.grid_max) or args.grid_count < 2:
         raise ValueError("grid requires min < max and count >= 2")
@@ -91,12 +101,17 @@ def _cmd_oracle(args) -> str:
 
 
 def _cmd_compare(args) -> str:
-    results, refusals, max_dev = cross_check(args.n, args.lam, args.tol, args.samples, args.seed)
-    for method, message in refusals.items():
-        print(f"refused ({method.value}): {message}", file=sys.stderr)
-    cells = [_fmt(results[m].value.ln_value) if m in results else "" for m in Method]
+    if not (args.n and args.lam):
+        raise ValueError("compare requires at least one n and one lambda")
+    rows = []
+    for n, lam in [(n, lam) for n in args.n for lam in args.lam]:
+        results, refusals, max_dev = cross_check(n, lam, args.tol, args.samples, args.seed)
+        for method, message in refusals.items():
+            print(f"refused ({method.value}): {message}", file=sys.stderr)
+        cells = [_fmt(results[m].value.ln_value) if m in results else "" for m in Method]
+        rows.append((str(n), _fmt(lam), *cells, _fmt(max_dev)))
     header = "n,lambda," + ",".join(m.value for m in Method) + ",max_pairwise_dev"
-    return _csv(header, [(str(args.n), _fmt(args.lam), *cells, _fmt(max_dev))])
+    return _csv(header, rows)
 
 
 def _cmd_regime(args) -> str:
@@ -106,10 +121,8 @@ def _cmd_regime(args) -> str:
 
 
 def _cmd_ensemble(args) -> str:
-    f = [float(v) for v in args.f.split(",") if v]
-    n_grid = [int(v) for v in args.n_grid.split(",") if v]
     schedule = "critical" if args.radius_critical else (args.radius_c, args.radius_alpha)
-    rows = ensemble_comparison(f, args.theta, schedule, n_grid, args.epsilon)
+    rows = ensemble_comparison(args.f, args.theta, schedule, args.n_grid, args.epsilon)
     return _csv("n,lambda_eff,ln_dn_per_n,regime,ln_psi_theta", [
         (str(r.n), _fmt(r.lambda_eff), _fmt(r.ln_dn_per_n), r.regime.value, _fmt(r.ln_psi_theta))
         for r in rows
@@ -171,9 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     lam = ("--lambda", dict(dest="lam", type=float, required=True))
-    oracle_options = (
-        ("--n", dict(type=int, required=True)),
-        lam,
+    route_options = (
         ("--tol", dict(type=float, default=1e-9, help="quadrature tolerance")),
         ("--samples", dict(type=int, default=0, help="Monte Carlo sample count")),
         ("--seed", dict(type=int, default=0, help="Monte Carlo seed")),
@@ -189,17 +200,24 @@ def build_parser() -> argparse.ArgumentParser:
                             help="log-spaced grid (default) or linear with --no-grid-log")),
     )
     command(
-        "oracle", _cmd_oracle, "one ln F_n evaluation by a chosen route", *oracle_options,
+        "oracle", _cmd_oracle, "one ln F_n evaluation by a chosen route",
+        ("--n", dict(type=int, required=True)), lam, *route_options,
         ("--method", dict(required=True, choices=[m.value for m in Method])),
     )
-    command("compare", _cmd_compare, "all applicable routes side by side", *oracle_options)
+    ints, floats = _comma_list(int), _comma_list(float)
+    command(
+        "compare", _cmd_compare, "all applicable routes side by side",
+        ("--n", dict(type=ints, required=True, help="comma-separated dimensions")),
+        ("--lambda", dict(dest="lam", type=floats, required=True, help="comma-separated lambdas")),
+        *route_options,
+    )
     command(
         "regime", _cmd_regime, "classify an effective lambda",
         lam, ("--epsilon", dict(type=float, required=True)),
     )
     command(
         "ensemble", _cmd_ensemble, "radius-schedule comparison table",
-        ("--f", dict(required=True, help="comma-separated positive weights")),
+        ("--f", dict(type=floats, required=True, help="comma-separated positive weights")),
         ("--theta", dict(type=float, default=1.0)),
         ("--radius-c", dict(type=float, default=1.0)),
         ("--radius-alpha", dict(type=float, default=0.0)),
@@ -207,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true", help="pin the schedule to r_n = lambda_cr / rho(f)"
         )),
         ("--epsilon", dict(type=float, required=True)),
-        ("--n-grid", dict(default="5,10,20,40", help="comma-separated dimensions")),
+        ("--n-grid", dict(type=ints, default="5,10,20,40", help="comma-separated dimensions")),
     )
     command(
         "plot", _cmd_plot, "SVG plots from a table CSV",

@@ -36,6 +36,8 @@ def line_plot_svg(x, y, *, title: str, x_label: str, y_label: str) -> str:
     ml, mr, mt, mb = 70, 20, 40, 55
     x_lo, x_hi = _widen(min(xs), max(xs))
     y_lo, y_hi = _widen(min(ys), max(ys))
+    if math.isinf(x_hi - x_lo) or math.isinf(y_hi - y_lo):
+        raise ValueError("plot data must span at most the largest double")
 
     def px(v):
         return ml + (v - x_lo) / (x_hi - x_lo) * (width - ml - mr)

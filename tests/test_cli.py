@@ -239,6 +239,37 @@ def test_compare_fails_only_without_an_exact_route(capsys):
     assert err == "error (compare): no exact route covers n = 0\n"
 
 
+def test_compare_over_lists_is_the_single_pairs_in_n_major_order(capsys):
+    tol = ("--tol", "1e-2")  # the quadrature refuses at every pair
+    code, out, err = run_cli(capsys, "compare", "--n", "2,3", "--lambda", "0.5,1e8", *tol)
+    assert code == 0
+    singles = [run_cli(capsys, "compare", "--n", n, "--lambda", lam, *tol)
+               for n in ("2", "3") for lam in ("0.5", "1e8")]
+    assert all(code == 0 for code, _, _ in singles)
+    header = singles[0][1].splitlines(keepends=True)[0]
+    assert out == header + "".join(o.splitlines(keepends=True)[1] for _, o, _ in singles)
+    assert err == "".join(e for _, _, e in singles)
+    assert err.count("refused (quadrature):") == 4
+
+
+def test_compare_over_lists_agrees_at_every_n(capsys):
+    code, out, _ = run_cli(capsys, "compare", "--n", "1,2,3", "--lambda", "1")
+    assert code == 0
+    _, *rows = out.splitlines()
+    assert [row.split(",")[0] for row in rows] == ["1", "2", "3"]
+    assert all(float(row.split(",")[-1]) < 1e-6 for row in rows)
+
+
+@pytest.mark.parametrize("n, message", [
+    ("3,0", "no exact route covers n = 0"),
+    (",", "compare requires at least one n and one lambda"),  # not a bare header
+], ids=["no-exact-route", "empty-list"])
+def test_compare_over_lists_exits_one_with_no_rows(capsys, n, message):
+    assert run_cli(capsys, "compare", "--n", n, "--lambda", "1") == (
+        1, "", f"error (compare): {message}\n"
+    )
+
+
 def test_regime_report(capsys):
     code, out, _ = run_cli(capsys, "regime", "--lambda", "0.5", "--epsilon", "0.05")
     assert code == 0
@@ -262,6 +293,19 @@ def test_ensemble_table(tmp_path, capsys):
     assert lines[0] == "n,lambda_eff,ln_dn_per_n,regime,ln_psi_theta"
     assert len(lines) == 3
     assert all(ln.split(",")[3] == "critical-band" for ln in lines[1:])
+
+
+def test_ensemble_of_the_readme_schedules(capsys):
+    # lambda_cr pinned, 2 lambda_cr, lambda_cr / 2, and 0.3 n^0.5, which crosses lambda_cr
+    regimes = []
+    for schedule in (["--radius-critical"], ["--radius-c", "1.8358470694759488"],
+                     ["--radius-c", "0.4589617673689872"],
+                     ["--radius-c", "0.3", "--radius-alpha", "0.5"]):
+        code, out, err = run_cli(capsys, "ensemble", "--f", "1,1,1", "--epsilon", "0.02",
+                                 "--n-grid", "5,10", *schedule)
+        assert (code, err) == (0, "")
+        regimes += [row.split(",")[3] for row in out.splitlines()[1:]]
+    assert regimes == ["critical-band"] * 2 + ["vanishes"] * 2 + ["diverges"] * 3 + ["vanishes"]
 
 
 def test_plot_emits_wellformed_svg(tmp_path, capsys):
@@ -322,6 +366,21 @@ def test_svg_of_constant_data_widens_its_range_by_one(xs, ys, axis):
     labels = [el.text for el in root.iter() if el.tag.endswith("text")]
     constant = (xs, ys)[axis][0]
     assert all(f"{constant + i / 4:.3g}" in labels for i in range(5))
+
+
+def test_svg_of_data_spanning_more_than_the_largest_double_is_refused():
+    # max - min overflowed to inf and every coordinate and tick label read nan
+    with pytest.raises(ValueError, match="plot data must span at most the largest double"):
+        line_plot_svg([-1e308, 1e308], [1.0, 2.0], title="t", x_label="x", y_label="y")
+
+
+def test_plot_refuses_a_lambda_spanning_more_than_the_largest_double(tmp_path, capsys):
+    # it wrote two SVGs of nan and exited 0
+    table = tmp_path / "table.csv"
+    table.write_text("lambda,gamma,ln_L,sigma\n-1e308,1.0,0.1,1.0\n1e308,2.0,0.2,1.0\n")
+    assert run_cli(capsys, "plot", "--table", str(table), "--out", str(tmp_path)) == (
+        1, "", "error (plot): plot data must span at most the largest double\n"
+    )
 
 
 @pytest.mark.parametrize("lam", ["1e20", "1.7e308"])
@@ -432,6 +491,19 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "--n", "2"])  # missing --lambda
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("compare --n 1,x --lambda 1", "argument --n: invalid comma-separated int value: '1,x'"),
+    ("ensemble --f 1,x --epsilon 0.02",
+     "argument --f: invalid comma-separated float value: '1,x'"),
+])
+def test_a_malformed_list_entry_is_a_usage_error(capsys, argv, message):
+    # ensemble exited 1 with "could not convert string to float: 'x'"
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f": error: {message}\n")
 
 
 def test_computation_error_exits_one(capsys):
