@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .hypersphere import classify_regime, ensemble_comparison
-from .oracles import Method, cross_check, evaluate
+from .oracles import _MONTE_CARLO_SAMPLES, Method, cross_check, evaluate
 from .saddle import critical_point, solve_saddle, tabulate
 from .svgplot import line_plot_svg
 
@@ -184,11 +184,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     lam = ("--lambda", dict(dest="lam", type=float, required=True))
-    route_options = (
-        ("--tol", dict(type=float, default=1e-9, help="quadrature tolerance")),
-        ("--samples", dict(type=int, default=0, help="Monte Carlo sample count")),
-        ("--seed", dict(type=int, default=0, help="Monte Carlo seed")),
-    )
+
+    def route_options(samples):  # compare's default 0 runs no Monte Carlo
+        return (
+            ("--tol", dict(type=float, default=1e-9, help="quadrature tolerance")),
+            ("--samples", dict(type=int, default=samples, help="Monte Carlo sample count")),
+            ("--seed", dict(type=int, default=0, help="Monte Carlo seed")),
+        )
+
     command("critical", _cmd_critical, "critical point of the decay-rate function")
     command("eval", _cmd_eval, "saddle data at one lambda", lam)
     command(
@@ -201,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     command(
         "oracle", _cmd_oracle, "one ln F_n evaluation by a chosen route",
-        ("--n", dict(type=int, required=True)), lam, *route_options,
+        ("--n", dict(type=int, required=True)), lam, *route_options(_MONTE_CARLO_SAMPLES),
         ("--method", dict(required=True, choices=[m.value for m in Method])),
     )
     ints, floats = _comma_list(int), _comma_list(float)
@@ -209,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", _cmd_compare, "all applicable routes side by side",
         ("--n", dict(type=ints, required=True, help="comma-separated dimensions")),
         ("--lambda", dict(dest="lam", type=floats, required=True, help="comma-separated lambdas")),
-        *route_options,
+        *route_options(0),
     )
     command(
         "regime", _cmd_regime, "classify an effective lambda",

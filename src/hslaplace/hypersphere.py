@@ -35,6 +35,7 @@ from .oracles import (
     fn_saddle_asymptotic,
 )
 from .saddle import critical_point, solve_saddle
+from .specfun import _positive
 
 
 @dataclass(frozen=True)
@@ -48,10 +49,8 @@ class HypersphereSpec:
     rho: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError("dimension n must be an integer >= 1")
-        if not (math.isfinite(self.r) and self.r > 0.0):
-            raise ValueError("radius r must be a positive real")
+        _check_n(self.n, 1, "HypersphereSpec")
+        _positive(self.r, "r")
         object.__setattr__(self, "f", tuple(self.f))
         if len(self.f) != self.n:
             raise ValueError("f must have exactly n entries")
@@ -67,7 +66,7 @@ class GrandEnsembleSpec:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        _check_theta(self.theta)
+        _positive(self.theta, "theta")
         if len(self.f) != len(self.weights) or not self.f:
             raise ValueError("f and weights must be nonempty and of equal length")
         geometric_mean(self.f)  # the one check of f's entries
@@ -140,12 +139,8 @@ def classify_regime(lambda_eff: float, epsilon: float) -> RegimeReport:
     only holds outside a neighbourhood of lambda_cr and there is no natural
     default for its size.
     """
-    lambda_eff = float(lambda_eff)
-    epsilon = float(epsilon)
-    if not (math.isfinite(lambda_eff) and lambda_eff > 0.0):
-        raise ValueError("lambda_eff must be a positive real")
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError("epsilon must be a positive real")
+    lambda_eff = _positive(lambda_eff, "lambda_eff")
+    epsilon = _positive(epsilon, "epsilon")
     margin = lambda_eff - critical_point().lambda_cr
     if margin < -epsilon:
         regime = Regime.DIVERGES
@@ -257,11 +252,6 @@ def psi_theta(spec: GrandEnsembleSpec) -> LogValue:
     return _psi(spec.theta, spec.f, spec.weights)
 
 
-def _check_theta(theta: float) -> None:
-    if not (math.isfinite(theta) and theta > 0.0):
-        raise ValueError("theta must be a positive real")
-
-
 def _psi(theta: float, f, weights) -> LogValue:
     logs = np.log(np.asarray(f, dtype=float))
     w = np.asarray(weights, dtype=float)
@@ -293,20 +283,13 @@ def ensemble_comparison(
             raise ValueError("radius_schedule must be (c, alpha) or 'critical'")
         c, alpha = critical_point().lambda_cr / rho, 0.0
     else:
-        c, alpha = float(radius_schedule[0]), float(radius_schedule[1])
-        if not (math.isfinite(c) and c > 0.0):
-            raise ValueError("schedule coefficient c must be positive")
+        c = _positive(radius_schedule[0], "schedule coefficient c")
+        alpha = float(radius_schedule[1])
         if not math.isfinite(alpha):
             raise ValueError(f"schedule exponent alpha must be finite, got {alpha!r}")
-    raw = list(n_grid)
-    for v in raw:
-        # int() would truncate 5.5 to 5 and parse '5'
-        if not isinstance(v, (int, np.integer)):
-            raise ValueError(f"n_grid must hold integers, got {v!r}")
-    ns = [int(v) for v in raw]
-    if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or any(v < 1 for v in ns):
+    ns = [_check_n(v, 1, "ensemble_comparison") for v in n_grid]
+    if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_grid must be strictly increasing positive integers")
-    ns = [_check_n(n, 1, "ensemble_comparison") for n in ns]
     lams = []
     for n in ns:
         try:
@@ -320,7 +303,7 @@ def ensemble_comparison(
         lams.append(lam_eff)
     # psi_theta of the equal-weight GrandEnsembleSpec, whose check of f would
     # repeat geometric_mean's
-    _check_theta(theta)
+    _positive(theta, "theta")
     ln_psi = _psi(theta, f, (1.0 / len(f),) * len(f)).ln_value
     # epsilon is checked before the first contour call
     regimes = [classify_regime(lam_eff, epsilon).regime for lam_eff in lams]

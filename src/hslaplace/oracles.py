@@ -39,7 +39,7 @@ import numpy as np
 
 from .logvalue import LogValue
 from .saddle import SaddleSolution, solve_saddle
-from .specfun import _psi2_to_psi5, bessel_k0, ln_gamma_complex
+from .specfun import _positive, _psi2_to_psi5, bessel_k0, ln_gamma_complex
 
 
 class Method(str, enum.Enum):
@@ -68,7 +68,7 @@ class OracleResult:
 
 def f1_exact(lam: float) -> OracleResult:
     """ln F_1(lambda) = -lambda: the hyperplane for n = 1 is the point x = 0."""
-    lam = _check_lambda(lam)
+    lam = _positive(lam, "lambda")
     return OracleResult(LogValue(-lam), 5e-16 * (1.0 + lam), Method.CLOSED_FORM)
 
 
@@ -79,7 +79,7 @@ def f2_exact(lam: float) -> OracleResult:
     exp(-2 lambda cosh x), and the even integral over the line is
     2 K0(2 lambda).  The claim max(1e-10, 5e-16 |ln F|) covers rounding.
     """
-    lam = _check_lambda(lam)
+    lam = _positive(lam, "lambda")
     ln_f = math.log(2.0) + bessel_k0(2.0 * lam).ln_value
     return OracleResult(LogValue(ln_f), max(1e-10, 5e-16 * abs(ln_f)), Method.CLOSED_FORM)
 
@@ -145,7 +145,7 @@ def fn_quadrature(n: int, lam: float, tol: float = 1e-9) -> OracleResult:
     2^19-node cap (``ROUTES`` stops at n = 1000, where lambda in [1e-20, 1e8]
     stays under it), ValueError where ln F_n < -max float."""
     n = _check_n(n, 2, "fn_quadrature")
-    lam = _check_lambda(lam)
+    lam = _positive(lam, "lambda")
     if not 1e-12 <= tol <= 1e-3:
         raise ValueError("tol must lie in [1e-12, 1e-3]")
     ln_lam = math.log(lam)
@@ -285,7 +285,7 @@ def fn_contour(n: int, lam: float) -> OracleResult:
     n lambda, rounding in n phi can exceed the exp range).
     """
     n = _check_n(n, 1, "fn_contour")
-    lam = _check_lambda(lam)
+    lam = _positive(lam, "lambda")
     ln_lam = math.log(lam)
     sol = solve_saddle(lam)
     gamma, phi0 = sol.gamma, sol.ln_L
@@ -361,7 +361,7 @@ def fn_contour(n: int, lam: float) -> OracleResult:
     # nodes; t v(t) is odd in Re, so its sum is i (T w(T) + 2 sum t w(t))
     acc = float(u[0] + u[m] + 2.0 * u[1:m].sum())
     ln_s = ln_sum(acc, h)
-    t_acc = float(t[m] * w[m] + 2.0 * np.dot(t[1:m], w[1:m]))
+    t_acc = float(t[m] * w[m] + 2.0 * (t[1:m] * w[1:m]).sum())
     rounding = _ln_l_rounding(n, sol)
     tol = 1e-13 * (1.0 + abs(n * phi0)) + rounding
     t, u, w = t[m + 1:], u[m + 1:], w[m + 1:]
@@ -370,7 +370,7 @@ def fn_contour(n: int, lam: float) -> OracleResult:
         h *= 0.5
         m *= 2
         ln_new = ln_sum(acc, h)
-        t_acc += 2.0 * float(np.dot(t, w))
+        t_acc += 2.0 * float((t * w).sum())
         diff, ln_s = abs(ln_new - ln_s), ln_new
         if diff <= tol or 2 * m > _MAX_INTERVALS:
             break
@@ -428,7 +428,7 @@ def fn_saddle_asymptotic(n: int, lam: float) -> OracleResult:
     measured (``_REMAINDER_C``).  Cross-oracle tests confirm it from n = 1 to 1e5.
     """
     n = _check_n(n, 1, "fn_saddle_asymptotic")
-    lam = _check_lambda(lam)
+    lam = _positive(lam, "lambda")
     sol = solve_saddle(lam)
     _check_n_ln_l(n, sol)
     psi2, psi3, psi4, psi5 = _psi2_to_psi5(sol.gamma)
@@ -453,6 +453,8 @@ def fn_saddle_asymptotic(n: int, lam: float) -> OracleResult:
 
 
 _MONTE_CARLO_N_MAX = 1000
+# the default sample count of ``evaluate`` and of the CLI's ``oracle``
+_MONTE_CARLO_SAMPLES = 100_000
 # samples per block of the draw and weight loops: S is the only array of length samples
 _MONTE_CARLO_BLOCK = 1 << 14
 
@@ -475,17 +477,14 @@ def fn_montecarlo(n: int, lam: float, samples: int, seed: int) -> OracleResult:
     standard error + the error of n ln L (``_ln_l_rounding``).
     """
     n = _check_n(n, 2, "fn_montecarlo")
-    lam = _check_lambda(lam)
-    if samples < 10_000:
-        raise ValueError("fn_montecarlo requires samples >= 10^4")
-    if seed < 0:
-        raise ValueError(f"fn_montecarlo requires seed >= 0, got seed = {seed}")
-    samples = int(samples)
+    lam = _positive(lam, "lambda")
+    samples = _check_n(samples, 10_000, "fn_montecarlo", "samples")
+    seed = _check_n(seed, 0, "fn_montecarlo", "seed")
     sol = solve_saddle(lam)
     _check_n_ln_l(n, sol)
     if n > _MONTE_CARLO_N_MAX:
         raise ValueError(f"fn_montecarlo requires n <= {_MONTE_CARLO_N_MAX}, got n = {n}")
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    rng = np.random.Generator(np.random.PCG64(seed))
     s = rng.standard_gamma(n - 1.0, samples)
     np.negative(s, out=s)
     s /= sol.gamma
@@ -564,7 +563,7 @@ def evaluate(
     n: int,
     lam: float,
     tol: float = 1e-9,
-    samples: int = 100_000,
+    samples: int = _MONTE_CARLO_SAMPLES,
     seed: int = 0,
 ) -> OracleResult:
     """ln F_n(lambda) by one route of ``ROUTES``.
@@ -577,6 +576,7 @@ def evaluate(
     except ValueError:
         raise ValueError(f"unknown method {method!r}") from None
     route = ROUTES[method]
+    n = _check_n(n, 1, "evaluate")
     if not route.covers(n):
         raise ValueError(
             f"the {method.value} route covers n in [{route.n_min}, {route.n_max}], got n = {n}"
@@ -595,7 +595,8 @@ def cross_check(
     pairwise deviation among the exact results.  Raises ValueError when no
     exact route ran.
     """
-    lam = _check_lambda(lam)
+    n = _check_n(n, 1, "cross_check")
+    lam = _positive(lam, "lambda")
     results: dict[Method, OracleResult] = {}
     refusals: dict[Method, str] = {}
     for method, route in ROUTES.items():
@@ -608,26 +609,16 @@ def cross_check(
     exact = [res.value.ln_value for method, res in results.items() if ROUTES[method].exact]
     if not exact:
         refused = [f"{m.value}: {msg}" for m, msg in refusals.items() if ROUTES[m].exact]
-        raise ValueError(
-            "every exact route refused: " + "; ".join(refused)
-            if refused else f"no exact route covers n = {n}"
-        )
+        raise ValueError("every exact route refused: " + "; ".join(refused))
     return results, refusals, max(abs(a - b) for a in exact for b in exact)
 
 
-def _check_n(n, n_min: int, route: str) -> int:
-    """int(n), refusing, naming the route, an n that is not an integer >= n_min
-    or that exceeds the largest double (every route computes with float(n)).
-    A numpy integer would wrap in n**3 and make every result a numpy float."""
-    if not isinstance(n, (int, np.integer)) or n < n_min:
-        raise ValueError(f"{route} requires integer n >= {n_min}")
-    if n > sys.float_info.max:
-        raise ValueError(f"{route} requires n <= max float, got n = {n}")
-    return int(n)
-
-
-def _check_lambda(lam) -> float:
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise ValueError("lambda must be a finite positive real")
-    return lam
+def _check_n(value, minimum: int, caller: str, name: str = "n") -> int:
+    """int(value), the one check of an integer argument: refuses, naming the caller, a bool,
+    a float, and an integer below minimum or beyond the largest double (routes compute with
+    float(n)); int() as a numpy integer would wrap in n**3 and make results numpy floats."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{caller} requires integer {name} >= {minimum}, got {name} = {value!r}")
+    if value > sys.float_info.max:
+        raise ValueError(f"{caller} requires {name} <= max float, got {name} = {value!r}")
+    return int(value)

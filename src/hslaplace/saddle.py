@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .logvalue import LogValue
-from .specfun import EULER_GAMMA, _digamma_trigamma_array, digamma, ln_gamma, trigamma
+from .specfun import EULER_GAMMA, _digamma_trigamma_array, _positive, digamma, ln_gamma, trigamma
 
 
 class SaddleSolution(NamedTuple):
@@ -177,9 +177,7 @@ def solve_saddle(lam: float) -> SaddleSolution:
 
     Raises ValueError where ln L is not a finite double (lambda >~ 2.56e305).
     """
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise ValueError("solve_saddle requires lambda > 0")
+    lam = _positive(lam, "lambda")
     ln_lam = math.log(lam)
     gamma = inverse_digamma(ln_lam)
     ln_L = ln_gamma(gamma) - gamma * ln_lam
@@ -201,9 +199,7 @@ def _legendre_argmin(lam: float) -> tuple[float, float]:
     Uses only ln_gamma: this route never touches psi, which keeps it
     independent of the Newton route.
     """
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise ValueError("L_value_legendre requires lambda > 0")
+    lam = _positive(lam, "lambda")
     ln_lam = math.log(lam)
 
     def phi(g):
@@ -294,9 +290,7 @@ def gamma_asymptotic_zero(lam: float) -> float:
     form omits the O(g) term zeta(2) g.  Only meaningful well below
     exp(-C) ~ 0.56; the tests use it to check the saddle at small lambda.
     """
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise ValueError("gamma_asymptotic_zero requires lambda > 0")
+    lam = _positive(lam, "lambda")
     if lam >= 1.0:
         raise ValueError("gamma_asymptotic_zero is only defined for lambda < 1")
     return 1.0 / (-math.log(lam) - EULER_GAMMA)

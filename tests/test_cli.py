@@ -140,7 +140,7 @@ def test_compare_exact_routes_agree(capsys):
 # through BLAS dot products instead of numpy sums
 @pytest.mark.parametrize("argv, refused, row", [
     ("compare --n 40 --lambda 1 --samples 5000 --seed 3",
-     "refused (monte-carlo): fn_montecarlo requires samples >= 10^4\n",
+     "refused (monte-carlo): fn_montecarlo requires integer samples >= 10000, got samples = 5000\n",
      "40,1.0000000000000000e+00,,-7.6057313734996086e+00,-7.6057313734996583e+00,,"
      "-7.6057313295448479e+00,4.9737991503207013e-14\n"),
     ("compare --n 3 --lambda 1e8 --tol 1e-2",
@@ -229,14 +229,22 @@ def test_a_negative_monte_carlo_seed_exits_one(capsys):
     # it printed numpy's bare "expected non-negative integer"
     argv = "oracle --method monte-carlo --n 3 --lambda 1 --samples 10000 --seed -1"
     assert run_cli(capsys, *argv.split()) == (
-        1, "", "error (oracle): fn_montecarlo requires seed >= 0, got seed = -1\n"
+        1, "", "error (oracle): fn_montecarlo requires integer seed >= 0, got seed = -1\n"
     )
+
+
+def test_oracle_runs_monte_carlo_at_the_default_sample_count(capsys):
+    # the --samples default 0 shadowed evaluate's 100 000: this exited 1 with
+    # "fn_montecarlo requires samples >= 10^4"
+    argv = "oracle --method monte-carlo --n 6 --lambda 1".split()
+    default = run_cli(capsys, *argv)
+    assert default[0] == 0 and default == run_cli(capsys, *argv, "--samples", "100000")
 
 
 def test_compare_fails_only_without_an_exact_route(capsys):
     code, out, err = run_cli(capsys, "compare", "--n", "0", "--lambda", "1")
     assert (code, out) == (1, "")
-    assert err == "error (compare): no exact route covers n = 0\n"
+    assert err == "error (compare): cross_check requires integer n >= 1, got n = 0\n"
 
 
 def test_compare_over_lists_is_the_single_pairs_in_n_major_order(capsys):
@@ -261,7 +269,7 @@ def test_compare_over_lists_agrees_at_every_n(capsys):
 
 
 @pytest.mark.parametrize("n, message", [
-    ("3,0", "no exact route covers n = 0"),
+    ("3,0", "cross_check requires integer n >= 1, got n = 0"),
     (",", "compare requires at least one n and one lambda"),  # not a bare header
 ], ids=["no-exact-route", "empty-list"])
 def test_compare_over_lists_exits_one_with_no_rows(capsys, n, message):
@@ -441,10 +449,10 @@ def test_ensemble_bad_schedule_exits_one(capsys, alpha, message):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["oracle", "--method", "contour"], "error (oracle): fn_contour requires n <= max float"),
+    (["oracle", "--method", "contour"], "error (oracle): evaluate requires n <= max float"),
     (["oracle", "--method", "asymptotic"],
-     "error (oracle): fn_saddle_asymptotic requires n <= max float"),
-    (["compare"], "error (compare): every exact route refused: contour: fn_contour requires n"),
+     "error (oracle): evaluate requires n <= max float"),
+    (["compare"], "error (compare): cross_check requires n <= max float"),
 ])
 def test_an_n_beyond_the_largest_double_exits_one(capsys, argv, message):
     # each ended in an uncaught OverflowError traceback

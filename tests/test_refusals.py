@@ -1,0 +1,151 @@
+"""One refusal table: every public entry point, crossed with the bad values of
+each kind of argument it takes, raises ValueError with that kind's one message.
+
+A positive real (lambda, x, r, theta, epsilon, the schedule's c) is refused as
+"<name> must be a finite positive real, got <value>"; an integer (n, an n_grid
+entry, samples, seed) as "<caller> requires integer <name> >= <minimum>, got
+<name> = <value>".
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from hslaplace import (
+    Method,
+    GrandEnsembleSpec,
+    HypersphereSpec,
+    L_value,
+    L_value_legendre,
+    bessel_k0,
+    classify_regime,
+    cross_check,
+    digamma,
+    ensemble_comparison,
+    evaluate,
+    f1_exact,
+    f2_exact,
+    fn_contour,
+    fn_montecarlo,
+    fn_quadrature,
+    fn_saddle_asymptotic,
+    gamma_asymptotic_zero,
+    ln_gamma,
+    solve_saddle,
+    trigamma,
+    unit_crossing,
+)
+
+F = (1.0, 2.0)
+LINEAR = (1.0, 0.0)  # the schedule r_n = 1
+
+# (entry point, name in the message, the call with the bad value in its place)
+POSITIVE = [
+    ("ln_gamma", "x", ln_gamma),
+    ("digamma", "x", digamma),
+    ("trigamma", "x", trigamma),
+    ("bessel_k0", "x", bessel_k0),
+    ("solve_saddle", "lambda", solve_saddle),
+    ("L_value", "lambda", L_value),
+    ("L_value_legendre", "lambda", L_value_legendre),
+    ("gamma_asymptotic_zero", "lambda", gamma_asymptotic_zero),
+    ("f1_exact", "lambda", f1_exact),
+    ("f2_exact", "lambda", f2_exact),
+    ("fn_quadrature", "lambda", lambda v: fn_quadrature(2, v)),
+    ("fn_contour", "lambda", lambda v: fn_contour(2, v)),
+    ("fn_saddle_asymptotic", "lambda", lambda v: fn_saddle_asymptotic(2, v)),
+    ("fn_montecarlo", "lambda", lambda v: fn_montecarlo(2, v, 10_000, 0)),
+    ("evaluate", "lambda", lambda v: evaluate("closed-form", 2, v)),
+    ("cross_check", "lambda", lambda v: cross_check(2, v)),
+    ("HypersphereSpec", "r", lambda v: HypersphereSpec(2, v, F)),
+    ("GrandEnsembleSpec", "theta", lambda v: GrandEnsembleSpec(v, F, (0.5, 0.5))),
+    ("classify_regime", "lambda_eff", lambda v: classify_regime(v, 0.1)),
+    ("classify_regime", "epsilon", lambda v: classify_regime(1.0, v)),
+    ("ensemble_comparison", "theta", lambda v: ensemble_comparison(F, v, LINEAR, (2, 3), 0.05)),
+    ("ensemble_comparison", "schedule coefficient c",
+     lambda v: ensemble_comparison(F, 1.0, (v, 0.0), (2, 3), 0.05)),
+    ("ensemble_comparison", "epsilon", lambda v: ensemble_comparison(F, 1.0, LINEAR, (2, 3), v)),
+]
+BAD_POSITIVE = [math.nan, math.inf, -math.inf, 0.0, -1.0, True, "1.0"]
+# ln_gamma, digamma and trigamma also take arrays: a str goes to numpy's
+# conversion, as any array-like does, and is not a scalar of this kind
+ARRAY_KERNELS = {"ln_gamma", "digamma", "trigamma"}
+
+# (entry point, name, minimum, the call with the bad value in its place); the
+# message names the entry point, but fn_montecarlo for samples and seed
+INTEGER = [
+    ("fn_quadrature", "n", 2, lambda v: fn_quadrature(v, 1.0)),
+    ("fn_contour", "n", 1, lambda v: fn_contour(v, 1.0)),
+    ("fn_saddle_asymptotic", "n", 1, lambda v: fn_saddle_asymptotic(v, 1.0)),
+    ("fn_montecarlo", "n", 2, lambda v: fn_montecarlo(v, 1.0, 10_000, 0)),
+    ("fn_montecarlo", "samples", 10_000, lambda v: fn_montecarlo(2, 1.0, v, 0)),
+    # a negative seed met numpy's bare "expected non-negative integer"
+    ("fn_montecarlo", "seed", 0, lambda v: fn_montecarlo(2, 1.0, 10_000, v)),
+    ("evaluate", "samples", 10_000, lambda v: evaluate("monte-carlo", 2, 1.0, samples=v)),
+    ("evaluate", "seed", 0, lambda v: evaluate("monte-carlo", 2, 1.0, 1e-9, 10_000, v)),
+    ("evaluate", "n", 1, lambda v: evaluate("closed-form", v, 1.0)),
+    ("cross_check", "n", 1, lambda v: cross_check(v, 1.0)),
+    ("unit_crossing", "n", 2, unit_crossing),
+    ("HypersphereSpec", "n", 1, lambda v: HypersphereSpec(v, 1.0, F)),
+    # int() once truncated an n_grid entry 5.5 to 5 and parsed '5'
+    ("ensemble_comparison", "n", 1, lambda v: ensemble_comparison(F, 1.0, LINEAR, (v, 50), 0.05)),
+]
+# an integral float is not an integer either
+BAD_INTEGER = [True, 5.5, np.float64(5.0), "5"]
+
+
+def _positive_cases():
+    for caller, name, call in POSITIVE:
+        for bad in BAD_POSITIVE:
+            if not (caller in ARRAY_KERNELS and isinstance(bad, str)):
+                yield pytest.param(name, call, bad, id=f"{caller}-{name}-{bad!r}")
+
+
+def _integer_bad_values(name, minimum):
+    # int() truncated samples = 10000.5 to 10000 and raised OverflowError at inf
+    extra = [10_000.5, math.inf] if name == "samples" else []
+    return [*BAD_INTEGER, minimum - 1, *extra]
+
+
+def _integer_cases():
+    for entry, name, minimum, call in INTEGER:
+        caller = "fn_montecarlo" if name in ("samples", "seed") else entry
+        for bad in _integer_bad_values(name, minimum):
+            yield pytest.param(caller, name, minimum, call, bad, id=f"{entry}-{name}-{bad!r}")
+
+
+def _integer_message(caller, name, minimum, bad):
+    return f"{caller} requires integer {name} >= {minimum}, got {name} = {bad!r}"
+
+
+@pytest.mark.parametrize("name, call, bad", _positive_cases())
+def test_a_positive_real_has_one_refusal(name, call, bad):
+    message = f"{name} must be a finite positive real, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("caller, name, minimum, call, bad", _integer_cases())
+def test_an_integer_has_one_refusal(caller, name, minimum, call, bad):
+    message = _integer_message(caller, name, minimum, bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
+# a str samples is left out: cross_check compares samples with 0 to decide
+# whether Monte Carlo runs at all
+@pytest.mark.parametrize("name, kwargs", [
+    *(("samples", {"samples": bad}) for bad in _integer_bad_values("samples", 10_000)
+      if not isinstance(bad, str)),
+    *(("seed", {"samples": 10_000, "seed": bad}) for bad in _integer_bad_values("seed", 0)),
+], ids=repr)
+def test_cross_check_records_a_monte_carlo_refusal(name, kwargs):
+    # samples = inf let int(inf)'s OverflowError escape
+    minimum = 10_000 if name == "samples" else 0
+    results, refusals, _ = cross_check(2, 1.0, **kwargs)
+    assert Method.MONTE_CARLO not in results
+    assert refusals == {
+        Method.MONTE_CARLO: _integer_message("fn_montecarlo", name, minimum, kwargs[name])
+    }

@@ -102,11 +102,6 @@ class TestDigamma:
         xs = np.logspace(-4, 4, 500)
         assert np.all(np.diff(digamma(xs)) > 0.0)
 
-    def test_domain_errors(self):
-        for bad in (0.0, -3.0, math.nan):
-            with pytest.raises(ValueError):
-                digamma(bad)
-
 
 class TestTrigamma:
     def test_zeta_two(self):
@@ -127,10 +122,6 @@ class TestTrigamma:
     def test_positive(self):
         xs = np.logspace(-4, 4, 500)
         assert np.all(trigamma(xs) > 0.0)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            trigamma(-0.5)
 
     def test_refuses_where_the_value_is_not_a_finite_double(self):
         # psi'(x) ~ 1/x^2 passes the largest double below x = 1/sqrt(max float):
@@ -249,11 +240,6 @@ class TestBesselK0:
         val = bessel_k0(x).ln_value
         asym = -x - 0.5 * math.log(2.0 * x / math.pi) - 1.0 / (8.0 * x)
         assert abs(val - asym) < 1e-6
-
-    def test_domain_errors(self):
-        for bad in (0.0, -2.0, math.inf):
-            with pytest.raises(ValueError):
-                bessel_k0(bad)
 
 
 def test_euler_constant_invariant():
