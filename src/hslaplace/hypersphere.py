@@ -35,7 +35,7 @@ from .oracles import (
     fn_saddle_asymptotic,
 )
 from .saddle import critical_point, solve_saddle
-from .specfun import _positive
+from .specfun import _finite, _positive
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,7 @@ def _secant(g_tol, u: float, slope: float, u_cr: float) -> tuple[float, float]:
         else:
             hi, g_hi = u, g
         if g_lo is not None and g_hi is not None and not lo < 0.5 * (lo + hi) < hi:
-            # rounding in g is larger than its change over one ulp of u
+            # adjacent doubles: g moves by more than tol over one ulp of u
             return (lo, slope) if abs(g_lo) < abs(g_hi) else (hi, slope)
         if dg is not None:
             slope = dg
@@ -225,9 +225,9 @@ def unit_crossing(n: int) -> float:
        lambda that it returns, from phase 1's u, until |g| < 1e-10.
 
     Returns the first contour-evaluated lambda with |ln F_n(lambda)| <
-    1e-10 or, where the contour's rounding over one ulp of lambda exceeds
-    1e-10 (n of a few 1e5 and up) and the bracket closes on
-    two adjacent doubles, the one of the two with the smaller |ln F_n|.
+    1e-10 or, where ln F_n moves by more than that over one ulp of lambda
+    (about 1.7e-16 n, so from n ~ 1e6) and the bracket closes on two
+    adjacent doubles, the one of the two with the smaller |ln F_n|.
     """
     n = _check_n(n, 2, "unit_crossing")
     cp = critical_point()
@@ -284,9 +284,7 @@ def ensemble_comparison(
         c, alpha = critical_point().lambda_cr / rho, 0.0
     else:
         c = _positive(radius_schedule[0], "schedule coefficient c")
-        alpha = float(radius_schedule[1])
-        if not math.isfinite(alpha):
-            raise ValueError(f"schedule exponent alpha must be finite, got {alpha!r}")
+        alpha = _finite(radius_schedule[1], "schedule exponent alpha")
     ns = [_check_n(v, 1, "ensemble_comparison") for v in n_grid]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_grid must be strictly increasing positive integers")

@@ -39,7 +39,9 @@ import numpy as np
 
 from .logvalue import LogValue
 from .saddle import SaddleSolution, solve_saddle
-from .specfun import _positive, _psi2_to_psi5, bessel_k0, ln_gamma_complex
+from .specfun import (
+    _ln_gamma_fine, _ln_gamma_line, _positive, _psi2_to_psi5, bessel_k0, digamma,
+)
 
 
 class Method(str, enum.Enum):
@@ -146,6 +148,7 @@ def fn_quadrature(n: int, lam: float, tol: float = 1e-9) -> OracleResult:
     stays under it), ValueError where ln F_n < -max float."""
     n = _check_n(n, 2, "fn_quadrature")
     lam = _positive(lam, "lambda")
+    tol = _positive(tol, "tol")
     if not 1e-12 <= tol <= 1e-3:
         raise ValueError("tol must lie in [1e-12, 1e-3]")
     ln_lam = math.log(lam)
@@ -191,18 +194,19 @@ def fn_quadrature(n: int, lam: float, tol: float = 1e-9) -> OracleResult:
 # at a discretisation error of e^-_LN_EPS too.  |Gamma(gamma + iT) /
 # Gamma(gamma)|^2 is the product of 1 / (1 + T^2 / (gamma + j)^2) over j >= 0
 # (DLMF 5.8.3); its first _EXACT_TERMS factors and integral bounds on the rest
-# pick the edge k among the first _EDGE_CANDIDATES candidates before any
-# ln Gamma call, and one array call then evaluates the candidates up to k with
-# the first level's nodes.  Where the bounds cannot decide, or rounding in
-# n phi moves the computed edge, the candidates are tried in batches of
-# _EDGE_CANDIDATES, one ln Gamma array call per batch.  The first batch covers
-# every lambda from the smallest positive double up to 1e18 for n <= 1e6;
-# beyond that rounding in phi swamps the decay and later batches may be
-# needed, up to 200 candidates in all.
+# pick the edge k among the first _EDGE_CANDIDATES candidates before D is
+# evaluated, and one call of D then takes the candidates up to k with the
+# first level's nodes.  Where the bounds cannot decide, or the computed edges
+# pick another candidate, the candidates are tried in batches of
+# _EDGE_CANDIDATES, one call of D per batch, up to 200 candidates in all.  The
+# first batch covered every probed (n, lambda), n <= 1e6 and lambda up to
+# 1e305; the later ones served while rounding in n ln Gamma(gamma + iT), which
+# n D(T) does not carry, swamped the decay.
 # The trapezoid on the half line [0, T] starts with at least _MIN_INTERVALS
 # intervals and halves h up to _MAX_INTERVALS (16 001 nodes on the full line).
 _LN_EPS = math.log(1e14)
 _EDGE_CANDIDATES = 25
+_EDGE_GROWTH = 1.5 ** np.arange(_EDGE_CANDIDATES)
 _EDGE_BATCHES = 8
 _EXACT_TERMS = 4
 _MIN_INTERVALS = 50
@@ -251,20 +255,24 @@ def fn_contour(n: int, lam: float) -> OracleResult:
 
     With phi(t) = ln Gamma(gamma + it) - (gamma + it) ln lambda,
 
-        F_n(lambda) = (1/2 pi) int_{-T}^{T} exp(n phi(t)) dt.
+        F_n(lambda) = (1/2 pi) int_{-T}^{T} exp(n phi(t)) dt,
 
-    Re phi is maximal at t = 0, so after shifting by n phi(0) exponentials
-    overflow only through rounding in phi.
+    and n (phi(t) - phi(0)) = n (D(t) + it (psi(gamma) - ln lambda)), where
+    D(t) = ln Gamma(gamma + it) - ln Gamma(gamma) - it psi(gamma) comes from
+    ``specfun._ln_gamma_line``: real arithmetic with no large term, so n D
+    carries no rounding of n phi(0).  Re D is maximal at t = 0, where it is
+    0, so exponentials overflow at no node.  phi(0) = ln Gamma(gamma) -
+    gamma ln lambda takes ln Gamma from ``specfun._ln_gamma_fine``.
 
     The line passes through the saddle abscissa gamma and is cut at the
     first T of T0 * 1.5^k, T0 = 8 / sqrt(n sigma), at which the integrand
-    has dropped below 1e-14 of the peak.  Bounds on |Gamma(gamma + iT) /
-    Gamma(gamma)| from its product form (``_edge_index``) usually pick k
-    before any ln Gamma call; then one array call evaluates the candidates
-    up to k and the first level's nodes, and the computed edges must pick
-    the same k.  Otherwise the candidates are tried 25 at a time, one array
-    call per batch, and the first level takes a call of its own.  The
-    integrand is conjugate symmetric, so only [0, T] is
+    has dropped below 1e-14 of the peak, n Re D(T) < -ln 1e14.  Bounds on
+    |Gamma(gamma + iT) / Gamma(gamma)| from its product form
+    (``_edge_index``) usually pick k before any D call; then one call
+    evaluates D at the candidates up to k and the first level's nodes, and
+    the computed edges must pick the same k.  Otherwise the candidates are
+    tried 25 at a time, one D call per batch, and the first level takes a
+    call of its own.  The integrand is conjugate symmetric, so only [0, T] is
     summed and the imaginary part vanishes.  The trapezoid error on a line
     at distance gamma from the pole of Gamma at s = 0 is about
     exp(-2 pi gamma / h) (Trefethen & Weideman, SIAM Rev. 56, 2014), so h
@@ -280,38 +288,37 @@ def fn_contour(n: int, lam: float) -> OracleResult:
     d ln F_n / d ln lambda = -n (gamma - sum t Im I(t) / sum Re I(t)) over
     the trapezoid's nodes, I(t) = exp(n (phi(t) - phi(0))).
 
-    Raises RuntimeError when no candidate T truncates the integrand, and
-    when the running trapezoid sum is not finite and positive (at large
-    n lambda, rounding in n phi can exceed the exp range).
+    Raises RuntimeError where n phi(0), and so ln F_n, is not a finite
+    double, when no candidate T truncates the integrand, and when the
+    running trapezoid sum is not finite and positive.
     """
     n = _check_n(n, 1, "fn_contour")
     lam = _positive(lam, "lambda")
     ln_lam = math.log(lam)
     sol = solve_saddle(lam)
-    gamma, phi0 = sol.gamma, sol.ln_L
+    gamma = sol.gamma
+    phi0 = _ln_gamma_fine(gamma) - gamma * ln_lam
+    if not math.isfinite(n * phi0):
+        raise RuntimeError(f"n ln L is not a finite double at n = {n}, lambda = {lam!r}")
+    drift = digamma(gamma) - ln_lam  # the saddle equation's residual, below 1e-13
 
     def integrand(t, v=None):
-        """exp(n (phi(t) - phi(0))) at the nodes t; overflow is refused by ln_sum.
+        """exp(n (phi(t) - phi(0))) = exp(n (D(t) + it (psi(gamma) - ln lambda))) at the
+        nodes t, in place; overflow is refused by ln_sum.
 
-        ``v`` holds ln Gamma(gamma + it) where a caller has computed it; it is
-        overwritten."""
-        z = gamma + 1j * t
+        ``v`` holds D(t) where a caller has computed it; it is overwritten."""
+        if v is None:
+            v = _ln_gamma_line(gamma, t)
+        v.imag += t * drift
+        v *= n
         with np.errstate(over="ignore"):
-            # exp(n (ln Gamma(z) - z ln lambda - phi(0))), in place
-            if v is None:
-                v = ln_gamma_complex(z)
-            z *= ln_lam
-            v -= z
-            v -= phi0
-            v *= n
             return np.exp(v, out=v)
 
     def ln_sum(acc, h):
         """ln (acc h), refusing a trapezoid sum that is not finite and positive."""
         if not (math.isfinite(acc) and acc > 0.0):
             raise RuntimeError(
-                f"contour sum is {acc!r} at n = {n}, lambda = {lam!r}: rounding in "
-                "n (phi(t) - phi(0)) exceeds the exp range"
+                f"contour sum is {acc!r} at n = {n}, lambda = {lam!r}, not finite and positive"
             )
         return math.log(acc * h)
 
@@ -323,30 +330,31 @@ def fn_contour(n: int, lam: float) -> OracleResult:
             _MAX_INTERVALS // 2,
         )
         h = T / m
-        return m, h, np.concatenate((np.arange(m + 1) * h, (np.arange(m) + 0.5) * h))
+        nodes = np.arange(2 * m + 1) * (0.5 * h)  # (2i + 1) h/2 is (i + 1/2) h to the bit
+        return m, h, np.concatenate((nodes[::2], nodes[1::2]))
 
-    def edges_of(ln_gamma_values):
-        """n (Re phi(T) - phi(0)) at the candidate edges and the first below -_LN_EPS."""
-        edges = n * (ln_gamma_values.real - gamma * ln_lam - phi0)
+    def edges_of(d):
+        """n (Re phi(T) - phi(0)) = n Re D(T) at the candidate edges and the first below
+        -_LN_EPS."""
+        edges = n * d.real
         below = (edges < -_LN_EPS).nonzero()[0]
         return edges, int(below[0]) if below.size else None
 
-    powers = np.arange(_EDGE_CANDIDATES)
     t0 = 8.0 / math.sqrt(n * sol.sigma)
-    candidates = t0 * 1.5 ** powers
+    candidates = t0 * _EDGE_GROWTH
     k = _edge_index(n, gamma, candidates)
     v = None
     if k is not None:
         m, h, t = first_level(float(candidates[k]))
-        values = ln_gamma_complex(gamma + 1j * np.concatenate((candidates[:k + 1], t)))
+        values = _ln_gamma_line(gamma, np.concatenate((candidates[:k + 1], t)))
         edges, first = edges_of(values[:k + 1])
         if first == k:
             v = integrand(t, values[k + 1:])
     if v is None:
-        # the bounds did not decide, or rounding moved the computed edge
+        # the bounds did not decide, or the computed edges picked another candidate
         for batch in range(_EDGE_BATCHES):
-            candidates = t0 * 1.5 ** (powers + batch * powers.size)
-            edges, k = edges_of(ln_gamma_complex(gamma + 1j * candidates))
+            candidates = t0 * 1.5 ** (np.arange(_EDGE_CANDIDATES) + batch * _EDGE_CANDIDATES)
+            edges, k = edges_of(_ln_gamma_line(gamma, candidates))
             if k is not None:
                 break
         else:
@@ -374,7 +382,7 @@ def fn_contour(n: int, lam: float) -> OracleResult:
         diff, ln_s = abs(ln_new - ln_s), ln_new
         if diff <= tol or 2 * m > _MAX_INTERVALS:
             break
-        t = (np.arange(m) + 0.5) * h
+        t = np.arange(1, 2 * m, 2) * (0.5 * h)
         v = integrand(t)
         u, w = v.real, v.imag
     ln_f = n * phi0 - math.log(2.0 * math.pi) + ln_s
@@ -597,6 +605,7 @@ def cross_check(
     """
     n = _check_n(n, 1, "cross_check")
     lam = _positive(lam, "lambda")
+    samples = _check_n(samples, 0, "cross_check", "samples")
     results: dict[Method, OracleResult] = {}
     refusals: dict[Method, str] = {}
     for method, route in ROUTES.items():

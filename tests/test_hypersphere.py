@@ -265,9 +265,13 @@ class TestUnitCrossing:
 
     @pytest.mark.parametrize("n", [250_000, 300_000, 446_684, 700_000, 2_000_000])
     def test_large_n_closes_on_adjacent_doubles(self, monkeypatch, n):
-        # the contour's rounding moves ln F_n by up to ~1e-9 between adjacent
-        # doubles here, so |ln F_n| < 1e-10 may hold at none of them and the
-        # bracket closes on two adjacent doubles
+        # ln F_n moves by about n gamma ulp(lambda) / lambda = 1.7e-16 n between
+        # adjacent doubles here, plus the contour's rounding, so |ln F_n| < 1e-10
+        # may hold at none of them and the bracket closes on two adjacent
+        # doubles.  With solve_saddle's ln L as phi(0), n times the error of
+        # ln_gamma(gamma) (up to 7.5e-15 near gamma_cr) moved it by up to 7e-9:
+        # at n = 2e6 the bracket closed on 0x1.d5f9b720168b0p-1 and
+        # 0x1.d5f9b720168b1p-1, where ln F_n was 6.39e-9 and -1.02e-9
         calls = []
 
         def counting(dim, lam):
@@ -433,7 +437,7 @@ class TestEnsembleComparison:
         for alpha in (1000.0, -1000.0):
             with pytest.raises(ValueError, match="at n = 5"):
                 ensemble_comparison((1.0,), 1.0, (1.0, alpha), (5, 10), epsilon=0.05)
-        with pytest.raises(ValueError, match="alpha must be finite"):
+        with pytest.raises(ValueError, match="alpha must be a finite real"):
             ensemble_comparison((1.0,), 1.0, (1.0, math.nan), (5, 10), epsilon=0.05)
         # n^0 = 1, but 10^400 ** 0.0 raised OverflowError, read as lambda_eff = inf
         with pytest.raises(ValueError, match="^ensemble_comparison requires n <= max float"):

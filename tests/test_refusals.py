@@ -1,10 +1,11 @@
 """One refusal table: every public entry point, crossed with the bad values of
 each kind of argument it takes, raises ValueError with that kind's one message.
 
-A positive real (lambda, x, r, theta, epsilon, the schedule's c) is refused as
-"<name> must be a finite positive real, got <value>"; an integer (n, an n_grid
-entry, samples, seed) as "<caller> requires integer <name> >= <minimum>, got
-<name> = <value>".
+A positive real (lambda, x, r, theta, epsilon, the schedule's c, tol) is
+refused as "<name> must be a finite positive real, got <value>"; a real of
+either sign (the schedule's alpha) as "<name> must be a finite real, got
+<value>"; an integer (n, an n_grid entry, samples, seed) as "<caller> requires
+integer <name> >= <minimum>, got <name> = <value>".
 """
 
 import math
@@ -54,6 +55,8 @@ POSITIVE = [
     ("f1_exact", "lambda", f1_exact),
     ("f2_exact", "lambda", f2_exact),
     ("fn_quadrature", "lambda", lambda v: fn_quadrature(2, v)),
+    # a str tol raised TypeError at the range test
+    ("fn_quadrature", "tol", lambda v: fn_quadrature(2, 1.0, v)),
     ("fn_contour", "lambda", lambda v: fn_contour(2, v)),
     ("fn_saddle_asymptotic", "lambda", lambda v: fn_saddle_asymptotic(2, v)),
     ("fn_montecarlo", "lambda", lambda v: fn_montecarlo(2, v, 10_000, 0)),
@@ -69,12 +72,22 @@ POSITIVE = [
     ("ensemble_comparison", "epsilon", lambda v: ensemble_comparison(F, 1.0, LINEAR, (2, 3), v)),
 ]
 BAD_POSITIVE = [math.nan, math.inf, -math.inf, 0.0, -1.0, True, "1.0"]
-# ln_gamma, digamma and trigamma also take arrays: a str goes to numpy's
-# conversion, as any array-like does, and is not a scalar of this kind
-ARRAY_KERNELS = {"ln_gamma", "digamma", "trigamma"}
+# ln_gamma, digamma and trigamma also take arrays, and numpy's conversion read
+# a str, bytes or bool in them: ln_gamma("1.0") was 0.0, digamma(["2.0"]) an array
+ARRAY_KERNELS = [("ln_gamma", ln_gamma), ("digamma", digamma), ("trigamma", trigamma)]
+BAD_ARRAYS = [["2.0"], b"1.0", np.array([True, False]), np.str_("1.0")]
+
+# (entry point, name in the message, the call with the bad value in its place);
+# float() read True and "0.5" as alpha
+FINITE = [
+    ("ensemble_comparison", "schedule exponent alpha",
+     lambda v: ensemble_comparison(F, 1.0, (1.0, v), (2, 3), 0.05)),
+]
+BAD_FINITE = [math.nan, math.inf, -math.inf, True, "0.5"]
 
 # (entry point, name, minimum, the call with the bad value in its place); the
-# message names the entry point, but fn_montecarlo for samples and seed
+# message names the entry point, but fn_montecarlo for the samples and seed that
+# evaluate passes on
 INTEGER = [
     ("fn_quadrature", "n", 2, lambda v: fn_quadrature(v, 1.0)),
     ("fn_contour", "n", 1, lambda v: fn_contour(v, 1.0)),
@@ -87,6 +100,9 @@ INTEGER = [
     ("evaluate", "seed", 0, lambda v: evaluate("monte-carlo", 2, 1.0, 1e-9, 10_000, v)),
     ("evaluate", "n", 1, lambda v: evaluate("closed-form", v, 1.0)),
     ("cross_check", "n", 1, lambda v: cross_check(v, 1.0)),
+    # 0 turns Monte Carlo off; a str raised TypeError, and True, 5.5 or inf
+    # reached fn_montecarlo's refusal
+    ("cross_check", "samples", 0, lambda v: cross_check(2, 1.0, samples=v)),
     ("unit_crossing", "n", 2, unit_crossing),
     ("HypersphereSpec", "n", 1, lambda v: HypersphereSpec(v, 1.0, F)),
     # int() once truncated an n_grid entry 5.5 to 5 and parsed '5'
@@ -99,8 +115,10 @@ BAD_INTEGER = [True, 5.5, np.float64(5.0), "5"]
 def _positive_cases():
     for caller, name, call in POSITIVE:
         for bad in BAD_POSITIVE:
-            if not (caller in ARRAY_KERNELS and isinstance(bad, str)):
-                yield pytest.param(name, call, bad, id=f"{caller}-{name}-{bad!r}")
+            yield pytest.param(name, call, bad, id=f"{caller}-{name}-{bad!r}")
+    for caller, call in ARRAY_KERNELS:
+        for bad in BAD_ARRAYS:
+            yield pytest.param("x", call, bad, id=f"{caller}-x-{bad!r}")
 
 
 def _integer_bad_values(name, minimum):
@@ -111,7 +129,7 @@ def _integer_bad_values(name, minimum):
 
 def _integer_cases():
     for entry, name, minimum, call in INTEGER:
-        caller = "fn_montecarlo" if name in ("samples", "seed") else entry
+        caller = "fn_montecarlo" if entry == "evaluate" and name != "n" else entry
         for bad in _integer_bad_values(name, minimum):
             yield pytest.param(caller, name, minimum, call, bad, id=f"{entry}-{name}-{bad!r}")
 
@@ -127,6 +145,16 @@ def test_a_positive_real_has_one_refusal(name, call, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("name, call, bad", [
+    pytest.param(name, call, bad, id=f"{caller}-{name}-{bad!r}")
+    for caller, name, call in FINITE for bad in BAD_FINITE
+])
+def test_a_finite_real_has_one_refusal(name, call, bad):
+    message = f"{name} must be a finite real, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
 @pytest.mark.parametrize("caller, name, minimum, call, bad", _integer_cases())
 def test_an_integer_has_one_refusal(caller, name, minimum, call, bad):
     message = _integer_message(caller, name, minimum, bad)
@@ -134,15 +162,12 @@ def test_an_integer_has_one_refusal(caller, name, minimum, call, bad):
         call(bad)
 
 
-# a str samples is left out: cross_check compares samples with 0 to decide
-# whether Monte Carlo runs at all
+# cross_check refuses a samples that is no integer >= 0 itself (see INTEGER)
 @pytest.mark.parametrize("name, kwargs", [
-    *(("samples", {"samples": bad}) for bad in _integer_bad_values("samples", 10_000)
-      if not isinstance(bad, str)),
+    ("samples", {"samples": 9_999}),
     *(("seed", {"samples": 10_000, "seed": bad}) for bad in _integer_bad_values("seed", 0)),
 ], ids=repr)
 def test_cross_check_records_a_monte_carlo_refusal(name, kwargs):
-    # samples = inf let int(inf)'s OverflowError escape
     minimum = 10_000 if name == "samples" else 0
     results, refusals, _ = cross_check(2, 1.0, **kwargs)
     assert Method.MONTE_CARLO not in results
