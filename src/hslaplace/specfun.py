@@ -64,9 +64,14 @@ _BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6)
 
 
 def _as_positive_array(x, name):
-    # a str, bytes or bool, or an array of them, is refused before np.asarray(x,
-    # dtype=float) reads it as a number
-    if isinstance(x, _NOT_REAL) or np.asarray(x).dtype.kind in "bSU":
+    # a str, bytes or bool, or an array or a sequence that holds one, is refused
+    # before np.asarray(x, dtype=float) reads it as a number: np.asarray([True,
+    # 2.0]) is already a float array, so a sequence is read entry by entry
+    if isinstance(x, np.ndarray) and x.dtype != object:
+        not_real = x.dtype.kind in "bSU"
+    else:
+        not_real = any(isinstance(v, _NOT_REAL) for v in np.asarray(x, dtype=object).flat)
+    if not_real:
         raise ValueError(f"x must be a finite positive real, got {x!r}")
     arr = np.asarray(x, dtype=float)
     if not np.isfinite(arr).all() or (arr <= 0.0).any():

@@ -5,11 +5,14 @@ A positive real (lambda, x, r, theta, epsilon, the schedule's c, tol) is
 refused as "<name> must be a finite positive real, got <value>"; a real of
 either sign (the schedule's alpha) as "<name> must be a finite real, got
 <value>"; an integer (n, an n_grid entry, samples, seed) as "<caller> requires
-integer <name> >= <minimum>, got <name> = <value>".
+integer <name> >= <minimum>, got <name> = <value>".  A lambda above the largest
+at which ln L is a finite double is refused by every ln L route with
+solve_saddle's one message.
 """
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -35,6 +38,7 @@ from hslaplace import (
     gamma_asymptotic_zero,
     ln_gamma,
     solve_saddle,
+    tabulate,
     trigamma,
     unit_crossing,
 )
@@ -76,6 +80,17 @@ BAD_POSITIVE = [math.nan, math.inf, -math.inf, 0.0, -1.0, True, "1.0"]
 # a str, bytes or bool in them: ln_gamma("1.0") was 0.0, digamma(["2.0"]) an array
 ARRAY_KERNELS = [("ln_gamma", ln_gamma), ("digamma", digamma), ("trigamma", trigamma)]
 BAD_ARRAYS = [["2.0"], b"1.0", np.array([True, False]), np.str_("1.0")]
+# a sequence mixing bools into floats: np.asarray casts it to float64, so
+# ln_gamma([True, 2.0]) was [0., 0.]
+BAD_ARRAYS += [[True, 2.0], (2.0, True), [np.True_, 2.0], (np.True_, 2.0), [[2.0], [True]]]
+
+# every ln L route refuses where ln L is not a finite double with solve_saddle's
+# message (ln L was nan); the Legendre route's scan stopped at 2^79 and raised
+# "failed to bracket" from lambda ~ 1e24 on
+LN_L_ROUTES = [("solve_saddle", solve_saddle), ("L_value", L_value),
+               ("L_value_legendre", L_value_legendre), ("tabulate", lambda v: tabulate([v]))]
+LN_L_OVERFLOWS = [math.nextafter(2.5563481638717604e305, math.inf), 3e305, 5e307, 1.7e308,
+                  sys.float_info.max]
 
 # (entry point, name in the message, the call with the bad value in its place);
 # float() read True and "0.5" as alpha
@@ -160,6 +175,15 @@ def test_an_integer_has_one_refusal(caller, name, minimum, call, bad):
     message = _integer_message(caller, name, minimum, bad)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(bad)
+
+
+@pytest.mark.parametrize("call, lam", [
+    pytest.param(call, lam, id=f"{name}-{lam!r}") for name, call in LN_L_ROUTES for lam in LN_L_OVERFLOWS
+])
+def test_ln_l_beyond_a_finite_double_has_one_refusal(call, lam):
+    message = f"ln L is not a finite double at lambda = {lam!r}: ln Gamma(gamma) overflows"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(lam)
 
 
 # cross_check refuses a samples that is no integer >= 0 itself (see INTEGER)

@@ -25,7 +25,7 @@ from hslaplace import (
     trigamma,
 )
 import hslaplace.saddle
-from hslaplace.saddle import _legendre_argmin
+from hslaplace.saddle import _DOMAIN, _LAMBDA_MAX, _Y_MIN, _inverse_digamma_array, _legendre_argmin
 from hslaplace.specfun import _digamma_trigamma_array
 
 # frozen references (mpmath):
@@ -128,12 +128,6 @@ class TestSolveSaddle:
         solve_saddle(1.0)
         assert len(calls) <= 4
 
-    @pytest.mark.parametrize("lam", [3e305, 5e307, 1.7e308])
-    def test_refuses_where_ln_l_overflows(self, lam):
-        # ln Gamma(gamma) overflows from lambda ~ 2.56e305 on; ln L was nan
-        with pytest.raises(ValueError, match=re.escape(f"at lambda = {lam!r}")):
-            solve_saddle(lam)
-
     def test_largest_finite_ln_l(self):
         sol = solve_saddle(2.5e305)
         assert math.isfinite(sol.ln_L) and sol.ln_L < -2.4e305
@@ -169,10 +163,15 @@ class TestLValue:
 
 class TestLegendreRoute:
     def test_route_agreement_grid(self):
-        for lam in np.logspace(-3, 3, 40):
+        # the whole range where ln L is a finite double, up to _LAMBDA_MAX,
+        # solve_saddle's last (tests/test_refusals.py refuses the next double);
+        # above lambda ~ 1e100 phi is flat below its rounding over a relative
+        # width of about 1e-6
+        grid = np.logspace(math.log10(5e-324), math.log10(2.5e305), 400).tolist()
+        for lam in [*grid, 5e-324, 1e24, 1e100, 1e270, 1e300, _LAMBDA_MAX]:
             a = L_value(lam).ln_value
             b = L_value_legendre(lam).ln_value
-            assert abs(a - b) < 1e-9
+            assert abs(a - b) <= 1e-12 * (1.0 + abs(a)), lam
 
     def test_route_agreement_examples(self):
         for lam in (1.0, 0.5):
@@ -182,6 +181,38 @@ class TestLegendreRoute:
         for lam in (0.5, 1.0, 2.0):
             g_min, _ = _legendre_argmin(lam)
             assert abs(g_min - solve_saddle(lam).gamma) < 1e-7
+
+    @pytest.mark.parametrize("lam", np.logspace(-8, 6, 10).tolist())
+    def test_few_ln_gamma_calls_and_no_psi(self, monkeypatch, lam):
+        # the 2^j scan from 2^-40 and the golden-section search took 89.8 calls
+        # on average over this range
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return ln_gamma(x)
+
+        def forbidden(x):
+            raise AssertionError("the Legendre route calls psi")
+
+        monkeypatch.setattr(hslaplace.saddle, "ln_gamma", counting)
+        monkeypatch.setattr(hslaplace.saddle, "digamma", forbidden)
+        monkeypatch.setattr(hslaplace.saddle, "trigamma", forbidden)
+        L_value_legendre(lam)
+        assert len(calls) <= 30
+
+    def test_refuses_before_any_ln_gamma_call(self, monkeypatch):
+        def forbidden(x):
+            raise AssertionError("ln_gamma called")
+
+        monkeypatch.setattr(hslaplace.saddle, "ln_gamma", forbidden)
+        with pytest.raises(ValueError, match="ln L is not a finite double"):
+            L_value_legendre(1e306)
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(hslaplace.saddle, "_LEGENDRE_CAP", 1)
+        with pytest.raises(RuntimeError, match="failed to converge at lambda=1.0"):
+            L_value_legendre(1.0)
 
 
 class TestCriticalPoint:
@@ -422,6 +453,35 @@ class TestArrayRoute:
                 inverse_digamma(np.array([1.0, y]))
         for g in (inverse_digamma(edge), float(inverse_digamma(np.array([edge]))[0])):
             assert abs(g / sys.float_info.max - 1.0) < 1e-11
+
+    @pytest.mark.parametrize("y", [math.nextafter(_Y_MIN, -math.inf), -1e200, -1e300,
+                                   -sys.float_info.max, -math.inf])
+    def test_rejects_y_below_the_left_edge(self, y):
+        # the root, about -1/y, is below 1/sqrt(max float), where psi' is not a
+        # finite double: the array path gave sigma = inf (with a divide-by-zero
+        # warning at -1e200) and the scalar path 1e-200 or trigamma's refusal
+        message = f"^{re.escape(f'{_DOMAIN}, got {y!r}')}$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                inverse_digamma(y)
+            with pytest.raises(ValueError, match=message):
+                inverse_digamma(np.array([1.0, y]))
+
+    def test_both_paths_answer_down_to_the_left_edge(self):
+        # below y ~ -1.5e4 an ulp of y exceeds the cap's old absolute 1e-12, so
+        # where no double g gave psi(g) = y exactly both paths raised
+        # RuntimeError: at 2741 of 20 000 log-uniform y, these three among them
+        rng = np.random.default_rng(7)
+        ys = [_Y_MIN, -1.3e154, -1.3010841832100548e154, -32464.102761385835,
+              -14947.1892777107, *(-10.0 ** rng.uniform(0.0, 154.0, 500))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gamma, sigma = _inverse_digamma_array(np.array(ys))
+        assert np.isfinite(sigma).all()
+        for y, g in zip(ys, gamma.tolist()):
+            assert inverse_digamma(y) == g
+            assert abs(digamma(g) - y) <= 1e-12 * max(1.0, abs(y))
 
     def test_non_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(hslaplace.saddle, "_NEWTON_CAP", 1)
