@@ -189,64 +189,54 @@ def fn_quadrature(n: int, lam: float, tol: float = 1e-9) -> OracleResult:
 # ---------------------------------------------------------------------------
 
 
-# The contour line is cut at the first T = T0 * 1.5^k at which the
-# integrand has dropped below e^-_LN_EPS of the peak, and the first step aims
-# at a discretisation error of e^-_LN_EPS too.  |Gamma(gamma + iT) /
-# Gamma(gamma)|^2 is the product of 1 / (1 + T^2 / (gamma + j)^2) over j >= 0
-# (DLMF 5.8.3); its first _EXACT_TERMS factors and integral bounds on the rest
-# pick the edge k among the first _EDGE_CANDIDATES candidates before D is
-# evaluated, and one call of D then takes the candidates up to k with the
-# first level's nodes.  Where the bounds cannot decide, or the computed edges
-# pick another candidate, the candidates are tried in batches of
-# _EDGE_CANDIDATES, one call of D per batch, up to 200 candidates in all.  The
-# first batch covered every probed (n, lambda), n <= 1e6 and lambda up to
-# 1e305; the later ones served while rounding in n ln Gamma(gamma + iT), which
-# n D(T) does not carry, swamped the decay.
+# The contour line is cut at the first T = T0 * 1.5^k, k = 1 .. _EDGE_CANDIDATES - 1,
+# at which a lower bound on the drop of the integrand proves it below
+# e^-_LN_EPS of the peak, and the first step aims at a discretisation error of
+# e^-_LN_EPS too.  |Gamma(gamma + iT) / Gamma(gamma)|^2 is the product of
+# 1 / (1 + T^2 / (gamma + j)^2) over j >= 0 (DLMF 5.8.3); its first
+# _EXACT_TERMS factors and an integral bound on the rest give that lower
+# bound before D is evaluated, and one call of D then takes the edge with the
+# first level's nodes.  The claim adds 10 x the integrand at the edge, so it
+# covers an edge the bound picks late.  25 candidates covered every probed
+# (n, lambda), n up to 1e6 and lambda from 5e-324 to 1e305.
 # The trapezoid on the half line [0, T] starts with at least _MIN_INTERVALS
 # intervals and halves h up to _MAX_INTERVALS (16 001 nodes on the full line).
 _LN_EPS = math.log(1e14)
 _EDGE_CANDIDATES = 25
-_EDGE_GROWTH = 1.5 ** np.arange(_EDGE_CANDIDATES)
-_EDGE_BATCHES = 8
 _EXACT_TERMS = 4
 _MIN_INTERVALS = 50
 _MAX_INTERVALS = 8000
 
 
-def _drop_bounds(gamma: float, T: float) -> tuple[float, float]:
-    """Lower and upper bounds on S(T) = -2 Re (ln Gamma(gamma + iT) - ln Gamma(gamma)).
+def _drop_bound(gamma: float, T: float) -> float:
+    """A lower bound on S(T) = -2 Re (ln Gamma(gamma + iT) - ln Gamma(gamma)).
 
     S(T) = sum_{j >= 0} log1p(T^2 / (gamma + j)^2) (DLMF 5.8.3).  The first
-    _EXACT_TERMS terms are summed; the rest decrease in j, so they lie between
-    R(gamma + _EXACT_TERMS) and R(gamma + _EXACT_TERMS - 1), with
-    R(y) = int_y^inf log1p(T^2 / x^2) dx = 2 T atan(T / y) - y log1p(T^2 / y^2),
-    a form that does not cancel when T << y."""
+    _EXACT_TERMS terms are summed; the rest decrease in j, so they exceed
+    R(gamma + _EXACT_TERMS), with R(y) = int_y^inf log1p(T^2 / x^2) dx =
+    2 T atan(T / y) - y log1p(T^2 / y^2), a form that does not cancel when
+    T << y."""
     head = 0.0
     for j in range(_EXACT_TERMS):
         x = T / (gamma + j)
         head += math.log1p(x * x)
-    bounds = []
-    for y in (gamma + _EXACT_TERMS, gamma + _EXACT_TERMS - 1):
-        x = T / y
-        bounds.append(head + 2.0 * T * math.atan(x) - y * math.log1p(x * x))
-    return bounds[0], bounds[1]
+    y = gamma + _EXACT_TERMS
+    x = T / y
+    return head + 2.0 * T * math.atan(x) - y * math.log1p(x * x)
 
 
-def _edge_index(n: int, gamma: float, candidates) -> int | None:
-    """The first index k at which the contour integrand is below e^-_LN_EPS of
-    its peak, n S(T_k) / 2 > _LN_EPS, where ``_drop_bounds`` decides it, else None.
+def _edge(n: int, gamma: float, t0: float) -> float | None:
+    """The first T = t0 1.5^k, k = 1 .. _EDGE_CANDIDATES - 1, at which ``_drop_bound``
+    proves the contour integrand below e^-_LN_EPS of its peak, n S(T) / 2 > _LN_EPS,
+    else None.
 
-    Candidate 0, T0 = 8 / sqrt(n sigma), never passes: log1p(x) <= x gives
-    n S(T0) / 2 <= n sigma T0^2 / 2 = 32 < _LN_EPS.  k >= 1 is returned when
-    its lower bound passes and, unless k = 1, the upper bound at k - 1 does not.
-    """
+    k = 0, T0 = 8 / sqrt(n sigma), never passes: log1p(x) <= x gives
+    n S(T0) / 2 <= n sigma T0^2 / 2 = 32 < _LN_EPS."""
     need = 2.0 * _LN_EPS / n
-    upper = 0.0  # the upper bound at candidate 0, which never passes
-    for k in range(1, len(candidates)):
-        lower, next_upper = _drop_bounds(gamma, float(candidates[k]))
-        if lower > need:
-            return k if upper <= need else None
-        upper = next_upper
+    for k in range(1, _EDGE_CANDIDATES):
+        T = t0 * 1.5**k
+        if _drop_bound(gamma, T) > need:
+            return T
     return None
 
 
@@ -265,16 +255,13 @@ def fn_contour(n: int, lam: float) -> OracleResult:
     gamma ln lambda takes ln Gamma from ``specfun._ln_gamma_fine``.
 
     The line passes through the saddle abscissa gamma and is cut at the
-    first T of T0 * 1.5^k, T0 = 8 / sqrt(n sigma), at which the integrand
-    has dropped below 1e-14 of the peak, n Re D(T) < -ln 1e14.  Bounds on
-    |Gamma(gamma + iT) / Gamma(gamma)| from its product form
-    (``_edge_index``) usually pick k before any D call; then one call
-    evaluates D at the candidates up to k and the first level's nodes, and
-    the computed edges must pick the same k.  Otherwise the candidates are
-    tried 25 at a time, one D call per batch, and the first level takes a
-    call of its own.  The integrand is conjugate symmetric, so only [0, T] is
-    summed and the imaginary part vanishes.  The trapezoid error on a line
-    at distance gamma from the pole of Gamma at s = 0 is about
+    first T of T0 * 1.5^k, k = 1 .. 24, T0 = 8 / sqrt(n sigma), at which a
+    lower bound on the drop of |Gamma(gamma + iT) / Gamma(gamma)| from its
+    product form (``_edge``) proves the integrand below 1e-14 of the peak,
+    n Re D(T) < -ln 1e14, before any D call; one call then evaluates D at T
+    and the first level's nodes.  The integrand is conjugate symmetric, so
+    only [0, T] is summed and the imaginary part vanishes.  The trapezoid
+    error on a line at distance gamma from the pole of Gamma at s = 0 is about
     exp(-2 pi gamma / h) (Trefethen & Weideman, SIAM Rev. 56, 2014), so h
     starts at min(T/50, 2 pi gamma / ln 1e14), but not below T/4000, and is
     halved, reusing every node, until the halving difference of ln S is at
@@ -333,36 +320,14 @@ def fn_contour(n: int, lam: float) -> OracleResult:
         nodes = np.arange(2 * m + 1) * (0.5 * h)  # (2i + 1) h/2 is (i + 1/2) h to the bit
         return m, h, np.concatenate((nodes[::2], nodes[1::2]))
 
-    def edges_of(d):
-        """n (Re phi(T) - phi(0)) = n Re D(T) at the candidate edges and the first below
-        -_LN_EPS."""
-        edges = n * d.real
-        below = (edges < -_LN_EPS).nonzero()[0]
-        return edges, int(below[0]) if below.size else None
-
-    t0 = 8.0 / math.sqrt(n * sol.sigma)
-    candidates = t0 * _EDGE_GROWTH
-    k = _edge_index(n, gamma, candidates)
-    v = None
-    if k is not None:
-        m, h, t = first_level(float(candidates[k]))
-        values = _ln_gamma_line(gamma, np.concatenate((candidates[:k + 1], t)))
-        edges, first = edges_of(values[:k + 1])
-        if first == k:
-            v = integrand(t, values[k + 1:])
-    if v is None:
-        # the bounds did not decide, or the computed edges picked another candidate
-        for batch in range(_EDGE_BATCHES):
-            candidates = t0 * 1.5 ** (np.arange(_EDGE_CANDIDATES) + batch * _EDGE_CANDIDATES)
-            edges, k = edges_of(_ln_gamma_line(gamma, candidates))
-            if k is not None:
-                break
-        else:
-            raise RuntimeError(f"failed to truncate the contour integrand at n = {n}, "
-                               f"lambda = {lam!r}")
-        m, h, t = first_level(float(candidates[k]))
-        v = integrand(t)
-    tail = math.exp(edges[k])
+    T = _edge(n, gamma, 8.0 / math.sqrt(n * sol.sigma))
+    if T is None:
+        raise RuntimeError(f"failed to truncate the contour integrand at n = {n}, "
+                           f"lambda = {lam!r}")
+    m, h, t = first_level(T)
+    values = _ln_gamma_line(gamma, np.concatenate(([T], t)))
+    tail = math.exp(n * values[0].real)
+    v = integrand(t, values[1:])
 
     u, w = v.real, v.imag
     # trapezoid on [-T, T] by symmetry: u(0) + u(T) + 2 sum of the interior
@@ -404,8 +369,10 @@ def _ln_l_rounding(n: int, sol: SaddleSolution) -> float:
     + 1e-14 n.  ln L = ln Gamma(gamma) - gamma ln lambda cancels at large lambda
     (n ln L was 4.6e186 off at n = 3, lambda = 1e200), and ln Gamma is good to 8e-15
     absolute, not relative, on (0.5, 9.5) (near lambda_cr at n = 1e5 the contour
-    was 1.5 times its claim off without the 1e-14 n)."""
-    rel = 1e-15 * n * (1.0 + abs(sol.ln_L) + 2.0 * sol.gamma * abs(math.log(sol.lam)))
+    was 1.5 times its claim off without the 1e-14 n).  The first term is formed as
+    4e-15 n (0.25 + 0.25 |ln L| + 0.5 gamma |ln lambda|): scaling by powers of two is
+    exact, so it has the same bits, and it stays finite up to the last finite ln L."""
+    rel = 4e-15 * n * (0.25 + 0.25 * abs(sol.ln_L) + 0.5 * sol.gamma * abs(math.log(sol.lam)))
     return rel + 1e-14 * n
 
 

@@ -461,7 +461,7 @@ def test_blocks_of_2_11_and_2_15_columns_give_the_same_bits(monkeypatch):
                         lambda gamma, t: args.append((gamma, t)) or kernel(gamma, t))
     hslaplace.oracles.fn_contour(1, 1e-20)
     gamma, t = max(args, key=lambda a: a[1].size)
-    assert t.size == 8014
+    assert t.size == 8002
 
     def outputs(columns):
         monkeypatch.setattr(specfun, "_BLOCK_COLUMNS", columns)
