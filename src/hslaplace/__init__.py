@@ -40,7 +40,6 @@ from .saddle import (
     L_value,
     L_value_legendre,
     critical_point,
-    gamma_asymptotic_zero,
     inverse_digamma,
     solve_saddle,
     tabulate,
@@ -84,7 +83,6 @@ __all__ = [
     "fn_montecarlo",
     "fn_quadrature",
     "fn_saddle_asymptotic",
-    "gamma_asymptotic_zero",
     "geometric_mean",
     "inverse_digamma",
     "laplace_dn",

@@ -39,9 +39,7 @@ import numpy as np
 
 from .logvalue import LogValue
 from .saddle import SaddleSolution, solve_saddle
-from .specfun import (
-    _ln_gamma_fine, _ln_gamma_line, _positive, _psi2_to_psi5, bessel_k0, digamma,
-)
+from .specfun import _ln_gamma_line, _positive, _psi2_to_psi5, bessel_k0, digamma
 
 
 class Method(str, enum.Enum):
@@ -252,7 +250,8 @@ def fn_contour(n: int, lam: float) -> OracleResult:
     ``specfun._ln_gamma_line``: real arithmetic with no large term, so n D
     carries no rounding of n phi(0).  Re D is maximal at t = 0, where it is
     0, so exponentials overflow at no node.  phi(0) = ln Gamma(gamma) -
-    gamma ln lambda takes ln Gamma from ``specfun._ln_gamma_fine``.
+    gamma ln lambda is ``solve_saddle``'s ln L, the n ln L that
+    ``_ln_l_rounding`` bounds; the route makes no ln Gamma call of its own.
 
     The line passes through the saddle abscissa gamma and is cut at the
     first T of T0 * 1.5^k, k = 1 .. 24, T0 = 8 / sqrt(n sigma), at which a
@@ -284,7 +283,7 @@ def fn_contour(n: int, lam: float) -> OracleResult:
     ln_lam = math.log(lam)
     sol = solve_saddle(lam)
     gamma = sol.gamma
-    phi0 = _ln_gamma_fine(gamma) - gamma * ln_lam
+    phi0 = sol.ln_L
     if not math.isfinite(n * phi0):
         raise RuntimeError(f"n ln L is not a finite double at n = {n}, lambda = {lam!r}")
     drift = digamma(gamma) - ln_lam  # the saddle equation's residual, below 1e-13
@@ -367,9 +366,10 @@ _REMAINDER_C = 4e-4
 def _ln_l_rounding(n: int, sol: SaddleSolution) -> float:
     """The one bound on the error of n ln L, 1e-15 n (1 + |ln L| + 2 gamma |ln lambda|)
     + 1e-14 n.  ln L = ln Gamma(gamma) - gamma ln lambda cancels at large lambda
-    (n ln L was 4.6e186 off at n = 3, lambda = 1e200), and ln Gamma is good to 8e-15
-    absolute, not relative, on (0.5, 9.5) (near lambda_cr at n = 1e5 the contour
-    was 1.5 times its claim off without the 1e-14 n).  The first term is formed as
+    (n ln L was 4.6e186 off at n = 3, lambda = 1e200).  The 1e-14 n term covers the
+    absolute error of ln Gamma(gamma), which ``ln_gamma`` keeps within 2.3e-16
+    max(1, |ln Gamma|) below 10: it is larger than that needs, and stays until a
+    smaller bound is measured against reference values.  The first term is formed as
     4e-15 n (0.25 + 0.25 |ln L| + 0.5 gamma |ln lambda|): scaling by powers of two is
     exact, so it has the same bits, and it stays finite up to the last finite ln L."""
     rel = 4e-15 * n * (0.25 + 0.25 * abs(sol.ln_L) + 0.5 * sol.gamma * abs(math.log(sol.lam)))

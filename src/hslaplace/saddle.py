@@ -341,21 +341,6 @@ def critical_point() -> CriticalPoint:
     )
 
 
-def gamma_asymptotic_zero(lam: float) -> float:
-    """Small-lambda closed form 1 / (|ln lam| - C) for the saddle abscissa.
-
-    Derived from psi(g) = psi(1 + g) - 1/g and the series of DLMF 5.7.4,
-    psi(g) = -1/g - C + zeta(2) g - zeta(3) g^2 + ...: setting
-    psi(g) = ln lam gives 1/g = |ln lam| - C + zeta(2) g + O(g^2), so this
-    form omits the O(g) term zeta(2) g.  Only meaningful well below
-    exp(-C) ~ 0.56; the tests use it to check the saddle at small lambda.
-    """
-    lam = _positive(lam, "lambda")
-    if lam >= 1.0:
-        raise ValueError("gamma_asymptotic_zero is only defined for lambda < 1")
-    return 1.0 / (-math.log(lam) - EULER_GAMMA)
-
-
 # over as for _inverse_digamma_array; where ln Gamma overflows ln L is
 # inf - inf, refused below
 @np.errstate(over="ignore", invalid="ignore")

@@ -1,26 +1,24 @@
 """Special-function kernel: ln Gamma (real and complex), digamma, trigamma, K0.
 
-All four Gamma-family routines, and the private psi'' to psi^(5) loop, use
-one scheme: shift the argument up by the recurrence until it is >= 10, then
-sum an asymptotic series with coefficients from one table of Bernoulli
-numbers.  That covers the whole positive axis (and the right half plane for
-the complex case) without reflection formulas, which is all this package
-ever needs.
+``ln_gamma`` is the Taylor series of ln Gamma(2 + z), |z| <= 1/2, with the
+recurrence below 10, and Stirling's series from 10 up.  psi, psi', the private
+psi'' to psi^(5) loop and the complex ln Gamma shift the argument up by the
+recurrence until it is >= 10, then sum an asymptotic series from one table of
+Bernoulli numbers.  No reflection formula is needed on the positive axis (the
+right half plane for the complex case), which is all this package ever needs.
 
-Accuracy: errors stay below tol * max(1, |f(x)|), the absolute bound the
-tests check, with tol = 1e-13 for ln Gamma / digamma and 1e-12 for trigamma.
-Near a zero of f that is not a few ulp: against 40-digit mpmath,
-ln_gamma(1 + 1e-7) is 1.5e8 ulp (1.7e-8 relative) off and ln_gamma(2.165)
-571 ulp (ROADMAP item 5).  Near the blow-up edges (x -> 0+, psi ~ -1/x) the
-scaled bound is the best any fixed-precision evaluation can promise.
+Accuracy: ``ln_gamma`` is within 2.3e-16 max(1, |ln Gamma|) of mpmath on
+(0, 10), and within 3 ulp of it near its zeros 1 and 2 (60 points 1e-15 to 1
+away); the other kernels stay below tol * max(1, |f(x)|), the absolute bound
+the tests check, with tol = 1e-13 for psi and complex ln Gamma, 1e-12 for psi'.
+Near the blow-up edges (x -> 0+, psi ~ -1/x) the scaled bound is the best any
+fixed-precision evaluation can promise.
 
 The contour route needs no complex log: ``_ln_gamma_line`` gives
 D(t) = ln Gamma(gamma + it) - ln Gamma(gamma) - it psi(gamma) for real t from
 the same shift and Bernoulli table, in real arithmetic (log1p, arctan), with
 every sum formed so that it vanishes at t = 0; it is within 8.3e-16 of D
-relative.  ``_ln_gamma_fine`` gives ln Gamma on (0, 10) to a few 1e-17
-absolute from its Taylor series at 2, where ``ln_gamma`` is off by up to
-7.5e-15.
+relative.
 
 K0 is evaluated in log form from its cosh integral representation by a
 symmetric trapezoid rule, which converges geometrically because the
@@ -181,22 +179,81 @@ def _digamma_trigamma_array(x):
     return psi, psi1
 
 
+# 1 - C and zeta(k) - 1 for k = 2..27, mpmath 1.3.0: ln Gamma(2 + z) = (1 - C) z
+# + sum_k (-1)^k (zeta(k) - 1) z^k / k (DLMF 5.7.3 with ln(1 + z) taken out), whose
+# terms shrink by |z| / 2; past k = 27 they are below 5e-19 at |z| = 1/2
+_ZETA_MINUS_ONE = (
+    0.6449340668482264, 0.2020569031595943, 0.08232323371113819, 0.03692775514336993,
+    0.01734306198444914, 0.008349277381922827, 0.00407735619794434, 0.0020083928260822143,
+    0.0009945751278180853, 0.0004941886041194645, 0.0002460865533080483, 0.00012271334757848915,
+    6.124813505870483e-05, 3.058823630702049e-05, 1.528225940865187e-05, 7.637197637899763e-06,
+    3.81729326499984e-06, 1.908212716553939e-06, 9.539620338727962e-07, 4.769329867878064e-07,
+    2.38450502727733e-07, 1.1921992596531106e-07, 5.960818905125948e-08, 2.980350351465228e-08,
+    1.4901554828365043e-08, 7.45071178983543e-09,
+)
+_LN_GAMMA_2_COEFF = (1.0 - EULER_GAMMA,) + tuple(
+    (-1) ** k * c / k for k, c in enumerate(_ZETA_MINUS_ONE, 2))
+
+
+def _horner(coeffs, z):
+    """coeffs[0] + coeffs[1] z + ... of a float or an array z, with the same bits."""
+    s = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        s *= z
+        s += c
+    return s
+
+
+def _stirling(x, log):
+    """ln Gamma(x) for x >= 10, of a float or an array, from Stirling's series (DLMF
+    5.11.1); 1/(x x) is 0 where x x overflows, which is below every last bit."""
+    return (x - 0.5) * log(x) - x + _HALF_LN_2PI + _horner(_LNGAMMA_COEFF, 1.0 / (x * x)) / x
+
+
 def ln_gamma(x):
-    """ln Gamma(x) for x > 0; accepts scalars or arrays."""
+    """ln Gamma(x) for x > 0; accepts scalars or arrays.
+
+    Stirling's series from x = 10 up.  Below, x = r + z with r = floor(x + 1/2) and
+    |z| <= 1/2: the Taylor series of ln Gamma(2 + z) at 2, less ln x (r = 0) and
+    ln(1 + z) (r <= 1), or plus the logs of the exact factors x - 1, ..., x - r + 2,
+    summed correctly rounded for a scalar and as one log of their product for an
+    array; both are within 2.3e-16 max(1, |ln Gamma|) of mpmath on (0, 10).
+    """
     if isinstance(x, (float, int)):
         x = _positive(x, "x")
-        shift = 0.0
-        while x < _SHIFT:
-            shift += math.log(x)
-            x += 1.0
-        w = 1.0 / (x * x)
-        s = _LNGAMMA_COEFF[-1]
-        for c in _LNGAMMA_COEFF[-2::-1]:
-            s = s * w + c
-        return (x - 0.5) * math.log(x) - x + _HALF_LN_2PI + s / x - shift
+        if x >= _SHIFT:
+            return _stirling(x, math.log)
+        r = math.floor(x + 0.5)
+        z = x - r
+        out = _horner(_LN_GAMMA_2_COEFF, z) * z
+        if r >= 2:
+            return out + math.fsum([math.log(x - i) for i in range(1, r - 1)])
+        if r == 0:
+            out -= math.log(x)
+        return out - math.log1p(z)
     arr = _as_positive_array(x, "ln_gamma")
-    z, _, ((s, shift),) = _series_array(arr, (_LNGAMMA_COEFF, np.log))
-    out = (z - 0.5) * np.log(z) - z + _HALF_LN_2PI + s / z - shift
+    flat = arr.reshape(-1)
+    out = np.empty_like(flat)
+    big = flat >= _SHIFT
+    if big.any():
+        with np.errstate(over="ignore"):
+            out[big] = _stirling(flat[big], np.log)
+    if not big.all():
+        xs = flat[~big]
+        r = np.floor(xs + 0.5)
+        r0, r01 = r == 0.0, r < 2.0
+        z = np.subtract(xs, r, out=r)  # r is not needed past its masks
+        lg = _horner(_LN_GAMMA_2_COEFF, z)
+        lg *= z
+        # the scalar path's order: ln x off first where r = 0, then ln(1 + z)
+        np.subtract(lg, np.log(xs), out=lg, where=r0)
+        np.subtract(lg, np.log1p(z), out=lg, where=r01)
+        # the factors x - i >= 3/2, by blocks of columns: scratch memory does not grow
+        i = np.arange(1.0, xs.max() - 1.0)[:, None]
+        for lo in range(0, xs.size, _BLOCK_COLUMNS):
+            f = xs[lo:lo + _BLOCK_COLUMNS] - i
+            lg[lo:lo + _BLOCK_COLUMNS] += np.log(np.where(f >= 1.5, f, 1.0).prod(axis=0))
+        out[~big] = lg
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
@@ -241,46 +298,6 @@ def trigamma(x):
     z, w, ((s, shift),) = _series_array(arr, _TRIGAMMA_SERIES)
     out = 1.0 / z + 0.5 * w + s * w / z + shift
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-
-# zeta(k) - 1 for k = 2..27, mpmath 1.3.0: ln Gamma(2 + z) = (1 - C) z
-# + sum_k (-1)^k (zeta(k) - 1) z^k / k (DLMF 5.7.3 with ln(1 + z) taken out), whose
-# terms shrink by |z| / 2; past k = 27 they are below 5e-19 at |z| = 1/2
-_ZETA_MINUS_ONE = (
-    0.6449340668482264, 0.2020569031595943, 0.08232323371113819, 0.03692775514336993,
-    0.01734306198444914, 0.008349277381922827, 0.00407735619794434, 0.0020083928260822143,
-    0.0009945751278180853, 0.0004941886041194645, 0.0002460865533080483, 0.00012271334757848915,
-    6.124813505870483e-05, 3.058823630702049e-05, 1.528225940865187e-05, 7.637197637899763e-06,
-    3.81729326499984e-06, 1.908212716553939e-06, 9.539620338727962e-07, 4.769329867878064e-07,
-    2.38450502727733e-07, 1.1921992596531106e-07, 5.960818905125948e-08, 2.980350351465228e-08,
-    1.4901554828365043e-08, 7.45071178983543e-09,
-)
-_LN_GAMMA_2_COEFF = tuple((-1) ** k * c / k for k, c in enumerate(_ZETA_MINUS_ONE, 2))
-
-
-def _ln_gamma_fine(x: float) -> float:
-    """ln Gamma(x) of a float x > 0, on (0, 10) to a few 1e-17 absolute.
-
-    ``ln_gamma`` shifts x below 10 up past 10, where the shift sum and the
-    Stirling terms are about 13, so its absolute error is up to 7.5e-15 near
-    x = 1.46.  Here x = r + z with r = floor(x + 1/2) and |z| <= 1/2 exact;
-    ln Gamma(2 + z) is its Taylor series at 2, and the recurrence adds
-    ln(x - 1) + ... + ln(x - r + 2) (r >= 3) or takes off ln x (r = 1) and
-    ln(1 + x) (r = 0).  From x = 10 up it is ``ln_gamma``, whose relative
-    error is a few ulp there."""
-    if x >= _SHIFT:
-        return ln_gamma(x)
-    r = math.floor(x + 0.5)
-    z = x - r
-    s = _LN_GAMMA_2_COEFF[-1]
-    for c in _LN_GAMMA_2_COEFF[-2::-1]:
-        s = s * z + c
-    out = z * ((1.0 - EULER_GAMMA) + z * s)
-    if r == 0:
-        return out - math.log(x) - math.log1p(x)
-    if r == 1:
-        return out - math.log1p(z)
-    return out + math.fsum(math.log(x - i) for i in range(1, r - 1))
 
 
 def _psi2_to_psi5(x):

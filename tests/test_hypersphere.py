@@ -268,9 +268,9 @@ class TestUnitCrossing:
         # ln F_n moves by about n gamma ulp(lambda) / lambda = 1.7e-16 n between
         # adjacent doubles here, plus the contour's rounding, so |ln F_n| < 1e-10
         # may hold at none of them and the bracket closes on two adjacent
-        # doubles.  With solve_saddle's ln L as phi(0), n times the error of
-        # ln_gamma(gamma) (up to 7.5e-15 near gamma_cr) moved it by up to 7e-9:
-        # at n = 2e6 the bracket closed on 0x1.d5f9b720168b0p-1 and
+        # doubles.  While phi(0) took ln Gamma(gamma) from a kernel up to 7.5e-15
+        # off near gamma_cr, n times that error moved it by up to 7e-9: at
+        # n = 2e6 the bracket closed on 0x1.d5f9b720168b0p-1 and
         # 0x1.d5f9b720168b1p-1, where ln F_n was 6.39e-9 and -1.02e-9
         calls = []
 

@@ -35,7 +35,6 @@ from hslaplace import (
     fn_montecarlo,
     fn_quadrature,
     fn_saddle_asymptotic,
-    gamma_asymptotic_zero,
     ln_gamma,
     solve_saddle,
     tabulate,
@@ -55,7 +54,6 @@ POSITIVE = [
     ("solve_saddle", "lambda", solve_saddle),
     ("L_value", "lambda", L_value),
     ("L_value_legendre", "lambda", L_value_legendre),
-    ("gamma_asymptotic_zero", "lambda", gamma_asymptotic_zero),
     ("f1_exact", "lambda", f1_exact),
     ("f2_exact", "lambda", f2_exact),
     ("fn_quadrature", "lambda", lambda v: fn_quadrature(2, v)),

@@ -273,7 +273,7 @@ class TestBernoulliTables:
 
 
 # psi''(x) and psi'''(x): frozen mpmath polygamma(2, x) and polygamma(3, x),
-# 40 significant digits; 1.376610918646214 is gamma_cr as critical_point() returns it
+# 40 significant digits; 1.376610918646214 lies 6e-16 below the root gamma_cr
 PSI2_PSI3_REFERENCE = [
     (1e-3, "-2.000000002397632164833240315048728091608e+9",
      "6.000000000006468614455574632804812484504e+12"),
@@ -472,10 +472,10 @@ def test_blocks_of_2_11_and_2_15_columns_give_the_same_bits(monkeypatch):
 
 
 def test_ln_gamma_scratch_memory_is_bounded():
-    # a (steps + 1) x size block would need 11 x the input's bytes below 1,
-    # plus the terms; at 1e6 values the peak is the full-length arrays of the
-    # closing formula, 6.00 x the input's bytes with 2^15- and 2^11-column
-    # blocks alike, as with the prefix-slice loop before (6.00 x)
+    # below 10 no element is shifted: at 1e6 values below 1 the peak is the
+    # output, the copy of the input, z, the Taylor sum and one log term, 5.38 x
+    # the input's bytes (6.00 x while each element was shifted past 10 in
+    # blocks of 2^11 columns)
     x = np.random.default_rng(0).uniform(0.0, 1.0, 1_000_000)
     x[x == 0.0] = 0.5
     tracemalloc.start()
@@ -588,7 +588,7 @@ def test_ln_gamma_line_is_conjugate_symmetric():
 
 
 # ln Gamma(x), mpmath 1.3.0 at 60 digits, printed to 25
-LN_GAMMA_FINE_REFERENCE = [
+LN_GAMMA_REFERENCE = [
     (1e-300, "690.7755278982137051803383"),
     (0.001, "6.907178885383853661683681"),
     (0.3, "1.095797994818075560562999"),
@@ -606,10 +606,19 @@ LN_GAMMA_FINE_REFERENCE = [
 ]
 
 
-@pytest.mark.parametrize("x, ref", LN_GAMMA_FINE_REFERENCE)
-def test_ln_gamma_fine_against_mpmath(x, ref):
-    # within 9.8e-17 max(1, |ln Gamma|) on these points and 2.6e-16 on 3000
-    # random x in (0, 10); ln_gamma is up to 7.5e-15 off near x = 1.46
-    assert scaled(abs(specfun._ln_gamma_fine(x) - float(ref)), float(ref), 3e-16)
+LN_GAMMA_PATHS = {
+    "scalar": ln_gamma,
+    "array": lambda x: float(ln_gamma(np.array([x, 0.5, 5.5, 12.0]))[0]),
+}
+
+
+@pytest.mark.parametrize("path", sorted(LN_GAMMA_PATHS))
+@pytest.mark.parametrize("x, ref", LN_GAMMA_REFERENCE)
+def test_ln_gamma_against_mpmath(x, ref, path):
+    # each path: the Taylor series at 2 below 10 is within 2.3e-16
+    # max(1, |ln Gamma|) on 3000 random x in (0, 10), where shifting x past 10
+    # for Stirling's series was up to 7.9e-15 off
+    got = LN_GAMMA_PATHS[path](x)
+    assert scaled(abs(got - float(ref)), float(ref), 3e-16)
     if x in (1.0, 2.0):
-        assert specfun._ln_gamma_fine(x) == 0.0
+        assert got == 0.0
