@@ -9,8 +9,9 @@ root of psi(gamma) = ln lambda.  The decay-rate function
 is strictly decreasing from +inf at 0 to 0 at infinity, equals 1 at exactly
 one point (the critical point), and controls the exponential growth or decay
 of the hyperplane integrals F_n.  Two independent routes compute it: the
-saddle equation (Newton on psi) and the convex conjugate of ln Gamma
-(derivative-free minimisation by Brent's method, about 24 ln Gamma calls).
+saddle equation (Newton on psi, about two psi calls from a closed-form start
+within 1.3e-9 of the root) and the convex conjugate of ln Gamma (derivative-free
+minimisation by Brent's method, about 11 ln Gamma calls).
 They agree within 1e-12 (1 + |ln L|) wherever ln L is a finite double,
 lambda <= 2.5563481638717604e305, and both refuse above it.
 """
@@ -27,7 +28,8 @@ import numpy as np
 
 from .logvalue import LogValue
 from .specfun import (
-    _TRIGAMMA_MIN, EULER_GAMMA, _digamma_trigamma_array, _positive, digamma, ln_gamma, trigamma,
+    _TRIGAMMA_MIN, EULER_GAMMA, _digamma_trigamma_array, _horner, _positive, digamma, ln_gamma,
+    trigamma,
 )
 
 
@@ -61,8 +63,6 @@ class CriticalPoint:
 
 _NEWTON_TOL = 1e-13
 _NEWTON_CAP = 50
-# initial-guess crossover: exp(y) + 1/2 and -1/(y + C) meet near y = -2.22
-_GUESS_SWITCH = -2.22
 # above ln(max float) ~ 709.78 the root, about e^y, is not a finite double
 _Y_MAX = math.log(sys.float_info.max)
 # below psi(1/sqrt(max float)) ~ -sqrt(max float) the root, about -1/y, is below
@@ -77,23 +77,76 @@ _LAMBDA_MAX = 2.5563481638717604e305
 _LEGENDRE_CAP = 200
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
+# The Newton start: one degree-10 polynomial p on each of three pieces of y,
+# split at _START_EDGES, each a least-squares fit of the relative error in g at
+# 400 Chebyshev nodes to this module's own roots.  With u = -1/(y + C), v = e^y:
+#   y < -3:         g = u p(u), p = 1 - zeta(2) u^2 + ... (psi(g) = -1/g - C + zeta(2) g
+#                   - ..., DLMF 5.7.4), its first two coefficients 1 and 0 exact;
+#   -3 <= y < -1/2: g = p(y + 7/4);
+#   y >= -1/2:      g = v + p(1/v), p(w) = 1/2 - w/24 + ... (psi(g) = ln g - 1/(2g)
+#                   - ..., DLMF 5.11.2), p(0) = 1/2 exact,
+# so that the start is -1/(y + C) at the left edge of the domain and e^y + 1/2 at
+# its right edge, as Minka's guess (Estimating a Dirichlet distribution, 2000).
+# Within 1.31e-9 of the root relative over the whole domain.
+_START_EDGES = (-3.0, -0.5)
+_START_COEFF = np.array([
+    (1.0, 0.0, -1.6449330363238488, 1.2021840004997444, 4.319798264365536,
+     -8.610368366977443, -11.399687366728855, 72.83763264716679, -137.56619367291933,
+     128.75838478180717, -50.51588013118236),
+    (0.5466745566495761, 0.23564217968403237, 0.0851044465898064, 0.02630384685250068,
+     0.006967426122991817, 0.001556586341809884, 0.0002807819320705496, 3.62728217447441e-05,
+     2.1211472195422076e-06, -5.564194186802932e-08, 4.4219564783146164e-08),
+    (0.5, -0.04166709308928798, 1.1992212067468786e-05, 0.004556119539819797,
+     0.0007637732963395973, -0.005269891368850984, 0.005575209885745781,
+     -0.0033223995188040416, 0.0012168485826914406, -0.00025625643260459696,
+     2.3841543815797282e-05),
+])
+_START_LEFT, _START_MID, _START_RIGHT = (tuple(row) for row in _START_COEFF.tolist())
+
 
 def _initial_guess(y: float) -> float:
-    """The Newton start of inverse_digamma at a finite y <= ln(max float)."""
-    return math.exp(y) + 0.5 if y >= _GUESS_SWITCH else -1.0 / (y + EULER_GAMMA)
+    """The Newton start of inverse_digamma at a y in its domain, within 1.31e-9
+    of the root relative."""
+    # the pieces split at _START_EDGES
+    if y < -3.0:
+        u = -1.0 / (y + EULER_GAMMA)
+        return u * _horner(_START_LEFT, u)
+    if y < -0.5:
+        return _horner(_START_MID, y + 1.75)
+    v = math.exp(y)
+    return v + _horner(_START_RIGHT, 1.0 / v)
+
+
+def _initial_guess_array(y):
+    """_initial_guess of each element of a 1-D array y, with the same bits."""
+    piece = np.searchsorted(_START_EDGES, y, side="right")
+    left, right = piece == 0, piece == 2
+    t = y + 1.75
+    t[left] = -1.0 / (y[left] + EULER_GAMMA)
+    # math.exp: np.exp can differ from it in the last bit, and at large gamma
+    # that alone can move the root found within the stopping tolerance
+    v = np.array([math.exp(x) for x in y[right].tolist()])
+    t[right] = 1.0 / v
+    # the rows of a gathered copy: _horner's in-place steps touch only it
+    g = _horner(_START_COEFF[piece].T, t)
+    g[left] *= t[left]
+    g[right] += v
+    return g
 
 
 def inverse_digamma(y):
     """The unique gamma > 0 with psi(gamma) = y; accepts scalars or arrays.
 
-    Newton iteration with a safeguarded bracket; the initial guess is
-    exp(y) + 1/2 for y >= -2.22 (from psi(g) ~ ln g - 1/(2g)) and
-    -1/(y + C) below (from psi(g) ~ -1/g - C).  The bracket starts at
-    (0, inf) and the residual signs narrow it; a step that leaves it is
-    replaced by the midpoint, or by twice the lower end while the bracket
-    has no upper end.  Stops at |psi(g) - y| < 1e-13; after the 50-step
-    cap a root within 1e-12 max(1, |y|) is accepted, since below y ~ -1.5e4
-    an ulp of y exceeds 1e-13.  Raises ValueError for y outside
+    Newton iteration with a safeguarded bracket from ``_initial_guess``, a
+    closed-form start within 1.3e-9 of the root relative (three polynomials,
+    in -1/(y + C) below y = -3, in y up to -1/2 and in e^-y above), so that
+    one step usually meets the stop: at most 2 psi calls per root over
+    lambda = e^y in [1e-8, 1e6].  The bracket starts at (0, inf) and the
+    residual signs narrow it; a step that leaves it is replaced by the
+    midpoint, or by twice the lower end while the bracket has no upper end.
+    Stops at |psi(g) - y| < 1e-13; after the 50-step cap a root within
+    1e-12 max(1, |y|) is accepted, since from y = -512 down an ulp of y
+    exceeds 1e-13 (from y ~ -1.5e4 down, 1e-12).  Raises ValueError for y outside
     [-sqrt(max float), ln(max float)] ~ [-1.34e154, 709.78]: above it the
     root is not a finite double, below it psi' at the root is not, and
     RuntimeError if the cap's tolerance is not met, which would indicate a
@@ -134,24 +187,19 @@ def inverse_digamma(y):
 def _inverse_digamma_array(y):
     """inverse_digamma over an array, with psi' at each root: (gamma, sigma).
 
-    Same guesses, bracket rule, stopping rule, cap and errors as the scalar
-    route, element by element.  Each iteration evaluates psi and psi' of the
-    elements not yet converged in one pass; sigma is the psi' of the pass
-    that accepted each root, bit for bit trigamma(gamma).  A 0-d y gives two
-    floats.
+    Same start (``_initial_guess_array``, with the bits of the scalar one),
+    bracket rule, stopping rule, cap and errors as the scalar route, element
+    by element.  Each iteration evaluates psi and psi' of the elements not yet
+    converged in one pass, and a 200-point grid takes two passes; sigma is
+    the psi' of the pass that accepted each root, bit for bit
+    trigamma(gamma).  A 0-d y gives two floats.
     """
     arr = np.asarray(y, dtype=float)
     bad = ~((arr >= _Y_MIN) & (arr <= _Y_MAX))
     if bad.any():
         raise ValueError(f"{_DOMAIN}, got {float(arr[bad].flat[0])!r}")
     yv = arr.reshape(-1)
-    # the scalar route's guesses; exp(y) + 1/2 with math.exp: np.exp can
-    # differ from it in the last bit, and at large gamma that alone can move
-    # the root found within the stopping tolerance
-    large = yv >= _GUESS_SWITCH
-    g = np.empty_like(yv)
-    g[large] = [math.exp(v) + 0.5 for v in yv[large].tolist()]
-    g[~large] = -1.0 / (yv[~large] + EULER_GAMMA)
+    g = _initial_guess_array(yv)
     out = np.empty_like(g)
     sigma = np.empty_like(g)
     idx = np.arange(g.size)
@@ -211,21 +259,21 @@ def _legendre_argmin(lam: float) -> tuple[float, float]:
     """Minimise phi(g) = ln Gamma(g) - g ln(lam) over g > 0: (argmin, min).
 
     phi is strictly convex (phi'' = psi' > 0) and coercive at both ends.
-    Factor-2 steps from the closed-form start of ``inverse_digamma``
-    (lam + 1/2 above ln lam = -2.22, 1/(|ln lam| - C) below) bracket the
-    minimum, and Brent's method (parabolic steps through the last three
-    points, golden-section steps where a parabola is not trusted; Brent,
-    *Algorithms for Minimization without Derivatives*, 1973, ch. 5) narrows
-    the bracket until both its ends lie within 1e-9 (1 + g) of the best point.
-    Calls only ln_gamma: 17 times on average and at most 27 over 200 lam in
-    [1e-8, 1e6], 24 on average from lam = 5e-324 to 2.5e305 (the 2^j scan and
-    golden-section search before took 89.5 there).  The route never
-    touches psi, which keeps it independent of the Newton route.  Above lam ~
-    1e100 phi is flat below its own rounding over a relative width of about
-    1e-6, where parabolas fit noise; the golden fallback and the bracket stop
-    keep the minimum within rounding there.  Raises solve_saddle's ValueError,
-    before any ln Gamma call, where ln L is not a finite double (lam above
-    2.5563481638717604e305).
+    The bracket is x (1 -+ 1e-6) around the closed-form start x of
+    ``inverse_digamma``, within 1.3e-9 of the argmin; where it does not
+    bracket, a walk doubles its step, keeping the lower end above x/2.
+    Brent's method (parabolic steps through the last three points,
+    golden-section steps where a parabola is not trusted; Brent, *Algorithms
+    for Minimization without Derivatives*, 1973, ch. 5) narrows the bracket
+    until both its ends lie within 1e-9 (1 + g) of the best point.  Calls
+    only ln_gamma: 11.5 times on average and at most 18 over 200 lam in
+    [1e-8, 1e6], 11.0 (at most 19) from lam = 5e-324 to 2.5e305, and 18.0
+    above 1e100.  The route never touches psi, which keeps it independent of the Newton route.
+    Above lam ~ 1e100 phi is flat below its own rounding over a relative width
+    of about 1e-6, where parabolas fit noise; the golden fallback and the
+    bracket stop keep the minimum within rounding there.  Raises
+    solve_saddle's ValueError, before any ln Gamma call, where ln L is not a
+    finite double (lam above 2.5563481638717604e305).
     """
     lam = _positive(lam, "lambda")
     if lam > _LAMBDA_MAX:
@@ -239,16 +287,20 @@ def _legendre_argmin(lam: float) -> tuple[float, float]:
         return f if math.isfinite(f) else math.inf
 
     x = _initial_guess(ln_lam)
-    a, b = 0.5 * x, 2.0 * x
+    step = 1e-6 * x
+    a, b = x - step, x + step
     fa, fx, fb = phi(a), phi(x), phi(b)
-    # phi is convex, so at most one of the two walks runs
+    # phi is convex, so at most one of the two walks runs; each doubles its step,
+    # and a stays at or above x/2 > 0
     while fa < fx:
+        step *= 2.0
         b, fb, x, fx = x, fx, a, fa
-        a = 0.5 * a
+        a = max(x - step, 0.5 * x)
         fa = phi(a)
     while fb < fx:
+        step *= 2.0
         a, fa, x, fx = x, fx, b, fb
-        b = 2.0 * b
+        b = x + step
         fb = phi(b)
 
     # the first parabola runs through the bracket's three points
@@ -305,7 +357,7 @@ def L_value_legendre(lam: float) -> LogValue:
 
     Independent of L_value (only ln_gamma, never psi).  The two agree within
     1e-12 (1 + |ln L|) from lam = 5e-324 to 2.5563481638717604e305 (at worst
-    2.7e-13 (1 + |ln L|) on 3000 log-spaced lam, near 5e290); beyond it ln L
+    2.6e-13 (1 + |ln L|) on 3000 log-spaced lam, near 3.6e295); beyond it ln L
     is not a finite double and both refuse with one ValueError.
     """
     _, fmin = _legendre_argmin(lam)

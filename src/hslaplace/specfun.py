@@ -215,9 +215,9 @@ def ln_gamma(x):
 
     Stirling's series from x = 10 up.  Below, x = r + z with r = floor(x + 1/2) and
     |z| <= 1/2: the Taylor series of ln Gamma(2 + z) at 2, less ln x (r = 0) and
-    ln(1 + z) (r <= 1), or plus the logs of the exact factors x - 1, ..., x - r + 2,
-    summed correctly rounded for a scalar and as one log of their product for an
-    array; both are within 2.3e-16 max(1, |ln Gamma|) of mpmath on (0, 10).
+    ln(1 + z) (r <= 1), or plus one log of the product of the exact factors
+    x - 1, ..., x - r + 2; both paths are within 2.3e-16 max(1, |ln Gamma|) of
+    mpmath on (0, 10).
     """
     if isinstance(x, (float, int)):
         x = _positive(x, "x")
@@ -227,7 +227,10 @@ def ln_gamma(x):
         z = x - r
         out = _horner(_LN_GAMMA_2_COEFF, z) * z
         if r >= 2:
-            return out + math.fsum([math.log(x - i) for i in range(1, r - 1)])
+            prod = 1.0
+            for i in range(1, r - 1):
+                prod *= x - i
+            return out + math.log(prod)
         if r == 0:
             out -= math.log(x)
         return out - math.log1p(z)

@@ -141,12 +141,15 @@ def test_compare_exact_routes_agree(capsys):
 # -7.6057313734996583e+00 (deviation 4.9737991503207013e-14) and
 # -3.0000001713211024e+08 while the integrand went through ln_gamma_complex.
 # The asymptotic cell at n = 40 was -7.6057313295448479e+00 while ln_gamma
-# shifted its argument past 10 for Stirling's series
+# shifted its argument past 10 for Stirling's series.  The contour and
+# asymptotic cells at n = 40 were -7.6057313734996166e+00 and
+# -7.6057313295448141e+00 (deviation 7.9936057773011271e-15) while Newton
+# started from Minka's guess
 @pytest.mark.parametrize("argv, refused, row", [
     ("compare --n 40 --lambda 1 --samples 5000 --seed 3",
      "refused (monte-carlo): fn_montecarlo requires integer samples >= 10000, got samples = 5000\n",
-     "40,1.0000000000000000e+00,,-7.6057313734996086e+00,-7.6057313734996166e+00,,"
-     "-7.6057313295448141e+00,7.9936057773011271e-15\n"),
+     "40,1.0000000000000000e+00,,-7.6057313734996086e+00,-7.6057313734996157e+00,,"
+     "-7.6057313295448052e+00,7.1054273576010019e-15\n"),
     ("compare --n 3 --lambda 1e8 --tol 1e-2",
      "refused (quadrature): tol must lie in [1e-12, 1e-3]\n",
      "3,1.0000000000000000e+08,,,-3.0000001713210994e+08,,-3.0000001713210988e+08,"
@@ -580,13 +583,32 @@ def test_log_grid_refuses_a_zero_endpoint(capsys):
 # -4.1527982993336474e-02, -1.4482869063238117e+00 (log grid) and
 # 1.7128534606447703e+00, 5.5321139479175008e-01, -1.9404872293273900e-01,
 # -8.4398930375111381e-01, -1.4482869063238117e+00 (--no-grid-log).
+#
+# Every gamma and sigma cell but two, and a few ln_L, contour, asymptotic, Monte
+# Carlo and ensemble cells, moved within Newton's stopping tolerance when Newton
+# started within 1.3e-9 of the saddle root instead of from Minka's guess.
+# Before, log table by row, (gamma, sigma): (4.3858744402204280e-01,
+# 6.1871134186350440e+00), (5.9643335154112598e-01, 3.6720474914096788e+00),
+# row 3 unchanged, (1.4054746124283961e+00, 1.0199686407393249e+00),
+# (2.4796874504281794e+00, 4.9520229675251926e-01), and ln_L
+# 1.7128534606447727e+00 (row 1) and -4.1527982993337056e-02 (row 4);
+# --no-grid-log rows 3 and 4: (1.5132351419920669e+00, 9.2395504541868612e-01),
+# (1.9987756546895583e+00, 6.4542921217604687e-01).  eval --lambda 1.0: gamma
+# 1.4616321449683431e+00 (1.9e-14 off 40-digit mpmath, now 1e-16) and sigma
+# 9.6767224544763830e-01.  Contour at (2, 1) -1.4793410244157650e+00 with
+# err_est 2.5653968395062152e-12 (now equal to the closed form), at (3, 0.5)
+# 3.0947544338276017e-01; asymptotic -1.4791528889683900e+00 with err_est
+# 2.6979759392741090e-03, and 3.0975048348543521e-01; Monte Carlo err_est
+# 3.2125650769821218e-03 at (2, 1) and ln_F 3.1184150470565197e-01 at
+# (3, 0.5); max_pairwise_dev 2.2204460492503131e-16 and 3.8857805861880479e-16;
+# ensemble at n = 10 -1.3958948332997141e+00.
 TABLE_0_1_TO_2 = (
     "lambda,gamma,ln_L,sigma\n"
-    "1.0000000000000001e-01,4.3858744402204280e-01,1.7128534606447727e+00,6.1871134186350440e+00\n"
-    "2.1147425268811282e-01,5.9643335154112598e-01,1.3304017931146757e+00,3.6720474914096788e+00\n"
+    "1.0000000000000001e-01,4.3858744402204275e-01,1.7128534606447725e+00,6.1871134186350458e+00\n"
+    "2.1147425268811282e-01,5.9643335154112587e-01,1.3304017931146757e+00,3.6720474914096806e+00\n"
     "4.4721359549995798e-01,8.7465016771904314e-01,7.8998767113194823e-01,2.0069516741386852e+00\n"
-    "9.4574160900317594e-01,1.4054746124283961e+00,-4.1527982993337056e-02,1.0199686407393249e+00\n"
-    "2.0000000000000000e+00,2.4796874504281794e+00,-1.4482869063238164e+00,4.9520229675251926e-01\n"
+    "9.4574160900317594e-01,1.4054746124284345e+00,-4.1527982993337084e-02,1.0199686407392872e+00\n"
+    "2.0000000000000000e+00,2.4796874504281785e+00,-1.4482869063238164e+00,4.9520229675251953e-01\n"
 )
 GOLDEN = [
     ("oracle --method closed-form --n 2 --lambda 1",
@@ -603,7 +625,7 @@ GOLDEN = [
     # and phi(0) was solve_saddle's ln L
     ("oracle --method contour --n 2 --lambda 1",
      "n,lambda,method,ln_F,err_est\n"
-     "2,1.0000000000000000e+00,contour,-1.4793410244157650e+00,2.5653968395062152e-12\n"),
+     "2,1.0000000000000000e+00,contour,-1.4793410244157648e+00,2.5653968395062084e-12\n"),
     # the asymptotic cells moved when the route gained its 1/n and 1/n^2 terms;
     # before: ln_F -1.4920537853295990e+00, err_est 3.6436301400353387e-02 at
     # n = 2, lambda = 1, and 2.9940754186781393e-01 at n = 3, lambda = 0.5.
@@ -613,22 +635,22 @@ GOLDEN = [
     # 3.1184150470565286e-01
     ("oracle --method asymptotic --n 2 --lambda 1",
      "n,lambda,method,ln_F,err_est\n"
-     "2,1.0000000000000000e+00,asymptotic,-1.4791528889683900e+00,2.6979759392741090e-03\n"),
+     "2,1.0000000000000000e+00,asymptotic,-1.4791528889683818e+00,2.6979759392740136e-03\n"),
     ("oracle --method monte-carlo --n 2 --lambda 1 --samples 20000 --seed 3",
      "n,lambda,method,ln_F,err_est\n"
-     "2,1.0000000000000000e+00,monte-carlo,-1.4826168743758519e+00,3.2125650769821218e-03\n"),
+     "2,1.0000000000000000e+00,monte-carlo,-1.4826168743758519e+00,3.2125650769821391e-03\n"),
     ("compare --n 2 --lambda 1",
      "n,lambda,closed-form,quadrature,contour,monte-carlo,asymptotic,max_pairwise_dev\n"
      "2,1.0000000000000000e+00,-1.4793410244157648e+00,-1.4793410244157648e+00,"
-     "-1.4793410244157650e+00,,-1.4791528889683900e+00,2.2204460492503131e-16\n"),
+     "-1.4793410244157648e+00,,-1.4791528889683818e+00,0.0000000000000000e+00\n"),
     ("compare --n 3 --lambda 0.5 --samples 20000 --seed 3",
      "n,lambda,closed-form,quadrature,contour,monte-carlo,asymptotic,max_pairwise_dev\n"
-     "3,5.0000000000000000e-01,,3.0947544338275979e-01,3.0947544338276017e-01,"
-     "3.1184150470565197e-01,3.0975048348543521e-01,3.8857805861880479e-16\n"),
+     "3,5.0000000000000000e-01,,3.0947544338275979e-01,3.0947544338275995e-01,"
+     "3.1184150470565208e-01,3.0975048348543566e-01,1.6653345369377348e-16\n"),
     ("ensemble --f 1,2,3 --epsilon 0.02 --n-grid 5,10,20",
      "n,lambda_eff,ln_dn_per_n,regime,ln_psi_theta\n"
      "5,1.8171205928321394e+00,-1.5026061269302213e+00,vanishes,-5.9725315640935162e-01\n"
-     "10,1.8171205928321394e+00,-1.3958948332997141e+00,vanishes,-5.9725315640935162e-01\n"
+     "10,1.8171205928321394e+00,-1.3958948332997139e+00,vanishes,-5.9725315640935162e-01\n"
      "20,1.8171205928321394e+00,-1.3250731631498067e+00,vanishes,-5.9725315640935162e-01\n"),
     # the remaining commands, frozen before their output was routed through
     # one writer; the linear grid of --no-grid-log had no test before.  Before
@@ -643,19 +665,19 @@ GOLDEN = [
      "residual = 1.6653345369377348e-16\n"),
     ("eval --lambda 1.0",
      "lambda,gamma,ln_L,L,sigma\n"
-     "1.0000000000000000e+00,1.4616321449683431e+00,-1.2148629053584964e-01,"
-     "8.8560319441088864e-01,9.6767224544763830e-01\n"),
+     "1.0000000000000000e+00,1.4616321449683622e+00,-1.2148629053584964e-01,"
+     "8.8560319441088864e-01,9.6767224544762132e-01\n"),
     ("regime --lambda 0.8 --epsilon 0.05",
      "lambda_eff,margin,regime\n"
      "8.0000000000000004e-01,-1.1792353473797512e-01,diverges\n"),
     ("table --grid-min 0.1 --grid-max 2 --grid-count 5", TABLE_0_1_TO_2),
     ("table --grid-min 0.1 --grid-max 2 --grid-count 5 --no-grid-log",
      "lambda,gamma,ln_L,sigma\n"
-     "1.0000000000000001e-01,4.3858744402204280e-01,1.7128534606447727e+00,6.1871134186350440e+00\n"
+     "1.0000000000000001e-01,4.3858744402204275e-01,1.7128534606447725e+00,6.1871134186350458e+00\n"
      "5.7499999999999996e-01,1.0146417878667813e+00,5.5321139479175208e-01,1.6104168445756801e+00\n"
-     "1.0500000000000000e+00,1.5132351419920669e+00,-1.9404872293273664e-01,9.2395504541868612e-01\n"
-     "1.5249999999999999e+00,1.9987756546895583e+00,-8.4398930375111114e-01,6.4542921217604687e-01\n"
-     "2.0000000000000000e+00,2.4796874504281794e+00,-1.4482869063238164e+00,4.9520229675251926e-01\n"),
+     "1.0500000000000000e+00,1.5132351419920771e+00,-1.9404872293273664e-01,9.2395504541867801e-01\n"
+     "1.5249999999999999e+00,1.9987756546895572e+00,-8.4398930375111114e-01,6.4542921217604743e-01\n"
+     "2.0000000000000000e+00,2.4796874504281785e+00,-1.4482869063238164e+00,4.9520229675251953e-01\n"),
 ]
 
 

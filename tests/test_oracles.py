@@ -75,14 +75,23 @@ MC_GRID = [
 # at 2 (ln L enters each weight); before, in the order below, skipping the five
 # at lambda = 100, 1e8 and 5: 0x1.4512e9415b516p+1, 0x1.2458cc75c3fedp+3,
 # 0x1.073e8d5e681d0p+6, -0x1.27b430f85c3c7p-1, 0x1.559d4bd4753dbp+3,
-# -0x1.e6f1ef83c8d45p+2, -0x1.7ad2a2ac7cf7ep+0, 0x1.94bda84ec53acp+0.
+# -0x1.e6f1ef83c8d45p+2, -0x1.7ad2a2ac7cf7ep+0, 0x1.94bda84ec53acp+0.  Eight
+# pins moved when Newton started within 1.3e-9 of the saddle root (gamma, ln L
+# and sigma moved within the stopping tolerance); before, as (ln_value, err_ln) in
+# the order below, skipping the five that kept their bits:
+# (0x1.4512e9415b512p+1, 0x1.3497dfc5f0927p-8), (-0x1.93739a2c01c83p+7,
+# 0x1.695124745b0e1p-9), (0x1.2458cc75c3ff2p+3, 0x1.cc28e902be59ap-8),
+# (-0x1.27b430f85c3d4p-1, 0x1.534735292a2dfp-8), (0x1.559d4bd4753d7p+3,
+# 0x1.2b8d3c25baa8cp-7), (-0x1.e6f1ef83c8d20p+2, 0x1.fc3ca43ec2011p-7),
+# (-0x1.93764ffe2ffc2p+7, 0x1.4751875996a07p-10), (-0x1.7ad2a2ac7cf7ap+0,
+# 0x1.786d7326b97c6p-10).
 MC_PINNED = [
     # pinned before the weight chain was rewritten in place; err_ln before the
     # re-pin, in order: 0x1.3497dfc5eaf15p-8, 0x1.695124744fcbcp-9,
     # 0x1.cc28e902b5e7ep-8, 0x1.fceb63802a302p-7, 0x1.e30c7f7d02b1dp-8
-    (2, 1e-3, 20_000, 1, "0x1.4512e9415b512p+1", "0x1.3497dfc5f0927p-8"),
-    (2, 100.0, 20_000, 2, "-0x1.93739a2c01c83p+7", "0x1.695124745b0e1p-9"),
-    (3, 1e-20, 20_000, 3, "0x1.2458cc75c3ff2p+3", "0x1.cc28e902be59ap-8"),
+    (2, 1e-3, 20_000, 1, "0x1.4512e9415b510p+1", "0x1.3497dfc5f0926p-8"),
+    (2, 100.0, 20_000, 2, "-0x1.93739a2c01c83p+7", "0x1.695124745b0e4p-9"),
+    (3, 1e-20, 20_000, 3, "0x1.2458cc75c3ff2p+3", "0x1.cc28e902be59bp-8"),
     (40, 0.0944, 20_000, 4, "0x1.073e8d5e681dap+6", "0x1.fceb6380627bap-7"),
     (8, 1e8, 20_000, 5, "-0x1.7d7841d8b38f5p+29", "0x1.e30c7f7d19367p-8"),
     # pinned while the draws and the weight chain still ran on whole arrays:
@@ -90,16 +99,16 @@ MC_PINNED = [
     # one element; err_ln before the re-pin, in order: 0x1.5347352921bc4p-8,
     # 0x1.2b8d3c25b39f5p-7, 0x1.fc3ca43e89b59p-7, 0x1.47518759801bep-10,
     # 0x1.b130e0f423298p-9
-    (3, 0.7, 16_384, 11, "-0x1.27b430f85c3d4p-1", "0x1.534735292a2dfp-8"),
-    (5, 1e-3, 16_385, 12, "0x1.559d4bd4753d7p+3", "0x1.2b8d3c25baa8cp-7"),
-    (40, 1.0, 16_385, 14, "-0x1.e6f1ef83c8d20p+2", "0x1.fc3ca43ec2011p-7"),
-    (2, 100.0, 100_000, 13, "-0x1.93764ffe2ffc2p+7", "0x1.4751875996a07p-10"),
+    (3, 0.7, 16_384, 11, "-0x1.27b430f85c3d4p-1", "0x1.534735292a2dcp-8"),
+    (5, 1e-3, 16_385, 12, "0x1.559d4bd4753d6p+3", "0x1.2b8d3c25baa8dp-7"),
+    (40, 1.0, 16_385, 14, "-0x1.e6f1ef83c8d21p+2", "0x1.fc3ca43ec203bp-7"),
+    (2, 100.0, 100_000, 13, "-0x1.93764ffe2ffc2p+7", "0x1.4751875996a09p-10"),
     (8, 1e8, 100_000, 15, "-0x1.7d7841d8ab169p+29", "0x1.b130e0f45032bp-9"),
     # pinned while _exp_excess still moved its |u| < 1/2 entries through a
     # boolean mask and the standard error came from np.std: 40%, 13% and 57% of
     # the |S| values fall below 1/2, in random order; err_ln before the re-pin,
     # in order: 0x1.786d7326a2f7cp-10, 0x1.e1ce0894c0264p-10, 0x1.33f67685c0cafp-8
-    (2, 1.0, 100_000, 16, "-0x1.7ad2a2ac7cf7ap+0", "0x1.786d7326b97c6p-10"),
+    (2, 1.0, 100_000, 16, "-0x1.7ad2a2ac7cf79p+0", "0x1.786d7326b97e6p-10"),
     (2, 0.05, 100_000, 17, "0x1.94bda84ec53b6p+0", "0x1.e1ce0894d6aaep-10"),
     (3, 5.0, 16_385, 18, "-0x1.eb0c5f8725788p+3", "0x1.33f67685c93cbp-8"),
 ]
@@ -128,14 +137,19 @@ MC_PINNED = [
 # F_1(1e-20) = exp(-1e-20) now gives ln F = 0.0, 1e-20 off instead of 2.7e-15.
 # phi(0) is now solve_saddle's ln L, which has the same bits since ln_gamma
 # below 10 is that Taylor series too; the |ln L| of _ln_l_rounding moved the
-# err_ln at (1e5, 0.918) by one ulp, from 0x1.3a1cdbc0b3844p-30.
+# err_ln at (1e5, 0.918) by one ulp, from 0x1.3a1cdbc0b3844p-30.  Four pins
+# moved when Newton started within 1.3e-9 of the saddle root (gamma, phi(0)
+# and sigma moved within the stopping tolerance); before, in the order below,
+# skipping the two that kept their bits: (0x0.0p+0, 0x1.12bd0dc559346p-35),
+# (-0x1.7ab617e77f317p+0, 0x1.690c2979126a5p-39), (-0x1.e6c44d85d5e39p+2,
+# 0x1.3e70799563373p-37), (-0x1.22aa8bca9096ap+4, 0x1.3a1cdbc0b3843p-30).
 CONTOUR_PINNED = [
-    (1, 1e-20, "0x0.0p+0", "0x1.12bd0dc559346p-35"),
-    (2, 1.0, "-0x1.7ab617e77f317p+0", "0x1.690c2979126a5p-39"),
-    (40, 1.0, "-0x1.e6c44d85d5e39p+2", "0x1.3e70799563373p-37"),
+    (1, 1e-20, "0x0.0p+0", "0x1.12bc0dc559346p-35"),
+    (2, 1.0, "-0x1.7ab617e77f316p+0", "0x1.690c297912694p-39"),
+    (40, 1.0, "-0x1.e6c44d85d5e38p+2", "0x1.3e70799563373p-37"),
     (3, 1e8, "-0x1.1e1a31121d1f5p+28", "0x1.467a07d7bd44dp-12"),
     (1000, 0.05, "0x1.ee640c80ff712p+10", "0x1.120087adf9533p-29"),
-    (100_000, 0.918, "-0x1.22aa8bca9096ap+4", "0x1.3a1cdbc0b3843p-30"),
+    (100_000, 0.918, "-0x1.22aa8bca9096ap+4", "0x1.3a1cdbc0b3848p-30"),
 ]
 
 

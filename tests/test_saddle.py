@@ -24,7 +24,10 @@ from hslaplace import (
     trigamma,
 )
 import hslaplace.saddle
-from hslaplace.saddle import _DOMAIN, _LAMBDA_MAX, _Y_MIN, _inverse_digamma_array, _legendre_argmin
+from hslaplace.saddle import (
+    _DOMAIN, _LAMBDA_MAX, _START_EDGES, _Y_MAX, _Y_MIN, _initial_guess, _initial_guess_array,
+    _inverse_digamma_array, _legendre_argmin,
+)
 from hslaplace.specfun import _digamma_trigamma_array
 
 # frozen references (mpmath):
@@ -37,11 +40,16 @@ INV_DIGAMMA_LN_001 = 0.22971839846991753  # inverse digamma of ln(0.01)
 # tabulate(np.logspace(-8, 6, 200)): index and hex of (gamma, ln_L, sigma),
 # pinned before the array kernel's shift loop moved to prefix slices.  ln_L at
 # rows 0 and 117 moved when ln_gamma below 10 became the Taylor series at 2;
-# before: 0x1.f12b82dbf7f60p+1 and -0x1.12faedbf91823p+0
+# before: 0x1.f12b82dbf7f60p+1 and -0x1.12faedbf91823p+0.  Every row moved,
+# within the stopping tolerance, when Newton started within 1.3e-9 of the root
+# instead of from Minka's guess; before, in the order below: (0x1.c8d89d3b05c71p-5,
+# 0x1.f12b82dbf7f63p+1, 0x1.43105edb63ddcp+8), (0x1.16ed28f672504p+1,
+# -0x1.12faedbf91826p+0, 0x1.28cf693b891f1p-1) and (0x1.e8480fffffffcp+19,
+# -0x1.e848bfa4631a0p+19, 0x1.0c6f7a0b5ec06p-20)
 TABULATE_PINNED = [
-    (0, "0x1.c8d89d3b05c71p-5", "0x1.f12b82dbf7f63p+1", "0x1.43105edb63ddcp+8"),
-    (117, "0x1.16ed28f672504p+1", "-0x1.12faedbf91826p+0", "0x1.28cf693b891f1p-1"),
-    (199, "0x1.e8480fffffffcp+19", "-0x1.e848bfa4631a0p+19", "0x1.0c6f7a0b5ec06p-20"),
+    (0, "0x1.c8d89d3b05c74p-5", "0x1.f12b82dbf7f64p+1", "0x1.43105edb63dd8p+8"),
+    (117, "0x1.16ed28f672503p+1", "-0x1.12faedbf91826p+0", "0x1.28cf693b891f2p-1"),
+    (199, "0x1.e8480fffffe96p+19", "-0x1.e848bfa463190p+19", "0x1.0c6f7a0b5eccap-20"),
 ]
 
 
@@ -95,6 +103,41 @@ class TestInverseDigamma:
             inverse_digamma(math.nan)
 
 
+class TestNewtonStart:
+    """The closed-form start of Newton, against the roots it starts from."""
+
+    @staticmethod
+    def _grid():
+        # dense in y where the three polynomials join, log-spaced out to both
+        # ends of the domain, and each edge with its neighbouring doubles
+        edges = [v for e in (*_START_EDGES, _Y_MIN, _Y_MAX)
+                 for v in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))]
+        ys = np.concatenate([
+            np.linspace(-40.0, 40.0, 80_001),
+            -np.logspace(0.0, math.log10(-_Y_MIN), 20_000),
+            np.logspace(0.0, math.log10(_Y_MAX), 2_000),
+            np.array(edges),
+        ])
+        return ys[(ys >= _Y_MIN) & (ys <= _Y_MAX)]
+
+    def test_within_3e_8_of_the_root(self):
+        # 1.31e-9 at worst, near y = -3; Minka's guess was 35% off
+        ys = self._grid()
+        rel = np.abs(_initial_guess_array(ys) / inverse_digamma(ys) - 1.0)
+        assert rel.max() <= 3e-8, ys[rel.argmax()]
+
+    def test_scalar_and_array_starts_are_equal(self):
+        ys = self._grid()
+        got = [v.hex() for v in _initial_guess_array(ys).tolist()]
+        assert got == [_initial_guess(y).hex() for y in ys.tolist()]
+
+    def test_minkas_guess_at_the_ends_of_the_domain(self):
+        # the fits keep exact leading coefficients: -1/(y + C) at the left edge,
+        # e^y + 1/2 at the right
+        assert _initial_guess(_Y_MIN) == -1.0 / (_Y_MIN + EULER_GAMMA)
+        assert _initial_guess(_Y_MAX) == math.exp(_Y_MAX) + 0.5
+
+
 class TestSolveSaddle:
     def test_lambda_one(self):
         sol = solve_saddle(1.0)
@@ -117,8 +160,9 @@ class TestSolveSaddle:
             assert sol.sigma == trigamma(sol.gamma) > 0.0
 
     def test_few_digamma_calls(self, monkeypatch):
-        # the bracket starts at (0, inf); a pre-pass that bracketed the root
-        # first took 7 calls at lambda = 1
+        # the start lies within 1.3e-9 of the root, so one Newton step meets the
+        # stop; from Minka's guess it took up to 6 calls on this grid (4 at
+        # lambda = 1), and a pre-pass that bracketed the root first 7 at lambda = 1
         calls = []
 
         def counting(x):
@@ -126,8 +170,12 @@ class TestSolveSaddle:
             return digamma(x)
 
         monkeypatch.setattr(hslaplace.saddle, "digamma", counting)
-        solve_saddle(1.0)
-        assert len(calls) <= 4
+        counts = {}
+        for lam in np.logspace(-8, 6, 57).tolist():
+            calls.clear()
+            solve_saddle(lam)
+            counts[lam] = len(calls)
+        assert max(counts.values()) <= 2, counts
 
     def test_largest_finite_ln_l(self):
         sol = solve_saddle(2.5e305)
@@ -183,10 +231,12 @@ class TestLegendreRoute:
             g_min, _ = _legendre_argmin(lam)
             assert abs(g_min - solve_saddle(lam).gamma) < 1e-7
 
-    @pytest.mark.parametrize("lam", np.logspace(-8, 6, 10).tolist())
+    @pytest.mark.parametrize("lam", np.logspace(-8, 6, 10).tolist()
+                             + np.logspace(100, math.log10(2.5e305), 6).tolist())
     def test_few_ln_gamma_calls_and_no_psi(self, monkeypatch, lam):
         # the 2^j scan from 2^-40 and the golden-section search took 89.8 calls
-        # on average over this range
+        # on average over [1e-8, 1e6]; the factor-2 bracket from Minka's guess
+        # took 17 there (at most 26) and 45 above 1e100
         calls = []
 
         def counting(x):
@@ -200,7 +250,7 @@ class TestLegendreRoute:
         monkeypatch.setattr(hslaplace.saddle, "digamma", forbidden)
         monkeypatch.setattr(hslaplace.saddle, "trigamma", forbidden)
         L_value_legendre(lam)
-        assert len(calls) <= 30
+        assert len(calls) <= 20
 
     def test_refuses_before_any_ln_gamma_call(self, monkeypatch):
         def forbidden(x):
@@ -357,10 +407,12 @@ class TestSaddleSolution:
         assert hash(solve_saddle(1.0)) == hash(solve_saddle(1.0))
         assert solve_saddle(1.0) != solve_saddle(2.0)
         # the text of the frozen dataclass this type used to be; ln_L was
-        # -0.12148629053585047 before ln_gamma below 10 became the Taylor series at 2
+        # -0.12148629053585047 before ln_gamma below 10 became the Taylor series at 2;
+        # gamma 1.4616321449683431 and sigma 0.9676722454476383 before Newton
+        # started within 1.3e-9 of the root (gamma is now 1e-16 off GAMMA_MIN)
         assert repr(solve_saddle(1.0)) == (
-            "SaddleSolution(lam=1.0, gamma=1.4616321449683431, "
-            "ln_L=-0.12148629053584964, sigma=0.9676722454476383)"
+            "SaddleSolution(lam=1.0, gamma=1.4616321449683622, "
+            "ln_L=-0.12148629053584964, sigma=0.9676722454476213)"
         )
 
 
@@ -475,7 +527,9 @@ class TestArrayRoute:
             assert abs(digamma(g) - y) <= 1e-12 * max(1.0, abs(y))
 
     def test_non_convergence_raises(self, monkeypatch):
-        monkeypatch.setattr(hslaplace.saddle, "_NEWTON_CAP", 1)
+        # with no Newton step the start alone, 1e-9 off the root, must pass the
+        # cap's tolerance; one step (the cap of 1 this test used) now meets it
+        monkeypatch.setattr(hslaplace.saddle, "_NEWTON_CAP", 0)
         with pytest.raises(RuntimeError, match="failed to converge"):
             inverse_digamma(-2.0)
         with pytest.raises(RuntimeError, match="failed to converge"):
@@ -519,6 +573,8 @@ class TestArrayRoute:
         rows = tabulate(np.logspace(-8, 6, 200))
         assert len(rows) == 200
         assert calls["scalar"] == 0
-        assert calls["array"] <= 12
+        # two Newton passes from a start within 1.3e-9 of each root and one
+        # ln_gamma call; from Minka's guess each grid took 5 to 6 passes
+        assert calls["array"] <= 4
         # sigma comes from the Newton pass's own psi'
         assert "trigamma" not in names
