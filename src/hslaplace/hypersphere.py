@@ -18,6 +18,7 @@ sides are driven to zero.
 
 from __future__ import annotations
 
+import array
 import enum
 import math
 from dataclasses import dataclass, field
@@ -35,7 +36,7 @@ from .oracles import (
     fn_saddle_asymptotic,
 )
 from .saddle import critical_point, solve_saddle
-from .specfun import _finite, _positive
+from .specfun import _finite, _positive, _real
 
 
 @dataclass(frozen=True)
@@ -51,10 +52,11 @@ class HypersphereSpec:
     def __post_init__(self):
         _check_n(self.n, 1, "HypersphereSpec")
         _positive(self.r, "r")
+        rho = geometric_mean(self.f)
         object.__setattr__(self, "f", tuple(self.f))
         if len(self.f) != self.n:
             raise ValueError("f must have exactly n entries")
-        object.__setattr__(self, "rho", geometric_mean(self.f))
+        object.__setattr__(self, "rho", rho)
 
 
 @dataclass(frozen=True)
@@ -67,10 +69,10 @@ class GrandEnsembleSpec:
 
     def __post_init__(self):
         _positive(self.theta, "theta")
-        if len(self.f) != len(self.weights) or not self.f:
+        size = _dual_vector(self.f).size
+        if not size or size != len(self.weights):
             raise ValueError("f and weights must be nonempty and of equal length")
-        geometric_mean(self.f)  # the one check of f's entries
-        if not all(math.isfinite(w) for w in self.weights):
+        if not all(math.isfinite(_real(w)) for w in self.weights):
             raise ValueError(f"weights must be finite, got {self.weights}")
         if any(w < 0.0 for w in self.weights):
             raise ValueError("weights must be nonnegative")
@@ -102,18 +104,31 @@ class EnsembleRow:
     ln_psi_theta: float
 
 
+def _dual_vector(f):
+    """The entries of a tuple, list or array f as floats, possibly none: the one
+    check of a dual vector, which refuses a bool, str or bytes entry."""
+    # array.array refuses a str or bytes entry, which np.asarray parses; a bool
+    # converts to exactly 1.0, so only entries equal to 1.0 need a type test
+    f = f.tolist() if isinstance(f, np.ndarray) else f
+    try:
+        arr = np.frombuffer(array.array("d", f)) if isinstance(f, (tuple, list)) else None
+    except (TypeError, OverflowError):
+        arr = None
+    if (arr is None or not np.isfinite(arr).all() or (arr <= 0.0).any()
+            or any(isinstance(f[i], (bool, np.bool_)) for i in np.flatnonzero(arr == 1.0))):
+        raise ValueError("all entries of f must be finite positive reals")
+    return arr
+
+
 def geometric_mean(f) -> float:
     """exp(mean(ln f_k)), accumulated in log space.
 
     Sorting the logs before summation makes the result bitwise independent
     of the input order, which downstream permutation invariance relies on.
-    It is the one check of a dual vector's entries.
     """
-    arr = np.asarray(f, dtype=float)
+    arr = _dual_vector(f)
     if arr.size == 0:
         raise ValueError("f must have at least one entry")
-    if not np.isfinite(arr).all() or (arr <= 0.0).any():
-        raise ValueError("all entries of f must be finite positive reals")
     logs = np.sort(np.log(arr))
     return float(np.exp(logs.sum() / arr.size))
 

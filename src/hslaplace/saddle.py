@@ -10,9 +10,9 @@ is strictly decreasing from +inf at 0 to 0 at infinity, equals 1 at exactly
 one point (the critical point), and controls the exponential growth or decay
 of the hyperplane integrals F_n.  Two independent routes compute it: the
 saddle equation (Newton on psi, about two psi calls from a closed-form start
-within 1.3e-9 of the root) and the convex conjugate of ln Gamma (derivative-free
-minimisation by Brent's method, about 11 ln Gamma calls).
-They agree within 1e-12 (1 + |ln L|) wherever ln L is a finite double,
+within 1.3e-9 of the root) and the convex conjugate of ln Gamma (its value at
+that start, certified by a bracket: three ln Gamma calls and no psi).
+They agree within 1e-14 (1 + |ln L|) wherever ln L is a finite double,
 lambda <= 2.5563481638717604e305, and both refuse above it.
 """
 
@@ -74,8 +74,6 @@ _LN_L_OVERFLOW = "ln L is not a finite double at lambda = {!r}: ln Gamma(gamma) 
 # the largest lambda at which solve_saddle's ln L is a finite double: at the next
 # double gamma ln(lambda), gamma ~ lambda, passes max float
 _LAMBDA_MAX = 2.5563481638717604e305
-_LEGENDRE_CAP = 200
-_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 # The Newton start: one degree-10 polynomial p on each of three pieces of y,
 # split at _START_EDGES, each a least-squares fit of the relative error in g at
@@ -144,9 +142,10 @@ def inverse_digamma(y):
     lambda = e^y in [1e-8, 1e6].  The bracket starts at (0, inf) and the
     residual signs narrow it; a step that leaves it is replaced by the
     midpoint, or by twice the lower end while the bracket has no upper end.
-    Stops at |psi(g) - y| < 1e-13; after the 50-step cap a root within
-    1e-12 max(1, |y|) is accepted, since from y = -512 down an ulp of y
-    exceeds 1e-13 (from y ~ -1.5e4 down, 1e-12).  Raises ValueError for y outside
+    Stops at |psi(g) - y| < 1e-13; at the first repeated iterate or the
+    50-step cap a root within 1e-12 max(1, |y|) is accepted, since from
+    y = -512 down an ulp of y exceeds 1e-13 (from y ~ -1.5e4 down, 1e-12).
+    Raises ValueError for y outside
     [-sqrt(max float), ln(max float)] ~ [-1.34e154, 709.78]: above it the
     root is not a finite double, below it psi' at the root is not, and
     RuntimeError if the cap's tolerance is not met, which would indicate a
@@ -161,7 +160,7 @@ def inverse_digamma(y):
         raise ValueError(f"{_DOMAIN}, got {y!r}")
     g = _initial_guess(y)
     lo, hi = 0.0, math.inf
-    for _ in range(_NEWTON_CAP):
+    for k in range(_NEWTON_CAP + 1):
         r = digamma(g) - y
         if abs(r) < _NEWTON_TOL:
             return g
@@ -173,8 +172,11 @@ def inverse_digamma(y):
         g_new = g - step
         if not (lo < g_new < hi):
             g_new = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+        # a repeated iterate never moves again
+        if g_new == g or k == _NEWTON_CAP:
+            break
         g = g_new
-    if abs(digamma(g) - y) < 1e-12 * max(1.0, abs(y)):
+    if abs(r) < 1e-12 * max(1.0, abs(y)):
         return g
     raise RuntimeError(f"inverse_digamma failed to converge at y={y!r}")
 
@@ -205,12 +207,21 @@ def _inverse_digamma_array(y):
     idx = np.arange(g.size)
     lo = np.zeros_like(g)
     hi = np.full_like(g, np.inf)
-    for _ in range(_NEWTON_CAP):
+    g_prev = np.zeros_like(g)
+    for k in range(_NEWTON_CAP + 1):
         if not idx.size:
             break
         psi, psi1 = _digamma_trigamma_array(g)
         r = psi - yv
         done = np.abs(r) < _NEWTON_TOL
+        # a repeated iterate never moves again; at the cap every iterate counts as one
+        stuck = g == (g_prev if k < _NEWTON_CAP else g)
+        if stuck.any():
+            missed = stuck & (np.abs(r) >= 1e-12 * np.maximum(1.0, np.abs(yv)))
+            if missed.any():
+                y0 = float(yv[missed][0])
+                raise RuntimeError(f"inverse_digamma failed to converge at y={y0!r}")
+            done |= stuck
         if done.any():
             out[idx[done]] = g[done]
             sigma[idx[done]] = psi1[done]
@@ -221,16 +232,7 @@ def _inverse_digamma_array(y):
         lo = np.where(above, lo, np.maximum(lo, g))
         g_new = g - r / psi1
         fallback = np.where(np.isinf(hi), 2.0 * lo, 0.5 * (lo + hi))
-        g = np.where((lo < g_new) & (g_new < hi), g_new, fallback)
-    else:
-        psi, psi1 = _digamma_trigamma_array(g)
-        missed = np.abs(psi - yv) >= 1e-12 * np.maximum(1.0, np.abs(yv))
-        if missed.any():
-            raise RuntimeError(
-                f"inverse_digamma failed to converge at y={float(yv[missed][0])!r}"
-            )
-        out[idx] = g
-        sigma[idx] = psi1
+        g_prev, g = g, np.where((lo < g_new) & (g_new < hi), g_new, fallback)
     if arr.ndim == 0:
         return float(out[0]), float(sigma[0])
     return out.reshape(arr.shape), sigma.reshape(arr.shape)
@@ -258,20 +260,15 @@ def L_value(lam: float) -> LogValue:
 def _legendre_argmin(lam: float) -> tuple[float, float]:
     """Minimise phi(g) = ln Gamma(g) - g ln(lam) over g > 0: (argmin, min).
 
-    phi is strictly convex (phi'' = psi' > 0) and coercive at both ends.
-    The bracket is x (1 -+ 1e-6) around the closed-form start x of
-    ``inverse_digamma``, within 1.3e-9 of the argmin; where it does not
-    bracket, a walk doubles its step, keeping the lower end above x/2.
-    Brent's method (parabolic steps through the last three points,
-    golden-section steps where a parabola is not trusted; Brent, *Algorithms
-    for Minimization without Derivatives*, 1973, ch. 5) narrows the bracket
-    until both its ends lie within 1e-9 (1 + g) of the best point.  Calls
-    only ln_gamma: 11.5 times on average and at most 18 over 200 lam in
-    [1e-8, 1e6], 11.0 (at most 19) from lam = 5e-324 to 2.5e305, and 18.0
-    above 1e100.  The route never touches psi, which keeps it independent of the Newton route.
-    Above lam ~ 1e100 phi is flat below its own rounding over a relative width
-    of about 1e-6, where parabolas fit noise; the golden fallback and the
-    bracket stop keep the minimum within rounding there.  Raises
+    phi is strictly convex (phi'' = psi' > 0) and its argmin is the saddle
+    root, so the closed-form start x of ``inverse_digamma``, within 1.31e-9 of
+    it relative, is the answer: phi(x) - min phi <= psi'(g) (1.31e-9 g)^2 / 2,
+    about 1e-18 (1 + |ln L|).  The bracket a, b = x (1 -+ 1e-6) certifies it
+    without psi: the argmin lies in (a, b), and min phi >= phi(x) -
+    [max(phi(a), phi(b)) - phi(x)].  Where the three points do not bracket, a
+    walk doubles its step, keeping a above x/2, and returns its last middle
+    point.  phi(a) - phi(x) is about an ulp of phi's terms from lam ~ 1e100
+    up, so no parabola is fitted through the three values.  Raises
     solve_saddle's ValueError, before any ln Gamma call, where ln L is not a
     finite double (lam above 2.5563481638717604e305).
     """
@@ -302,63 +299,16 @@ def _legendre_argmin(lam: float) -> tuple[float, float]:
         a, fa, x, fx = x, fx, b, fb
         b = x + step
         fb = phi(b)
-
-    # the first parabola runs through the bracket's three points
-    v, fv, w, fw = a, fa, b, fb
-    d, e = 0.0, b - a
-    for _ in range(_LEGENDRE_CAP):
-        # stop once both ends of (a, b) lie within 2 tol = 1e-9 (1 + x) of x
-        mid = 0.5 * (a + b)
-        tol = 0.5e-9 * (1.0 + x)
-        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
-            return x, fx
-        # the parabola through (v, fv), (w, fw), (x, fx) has its vertex at
-        # x + p/q; it is taken inside (a, b) and shorter than half the step
-        # before last (a nan from an infinite phi fails each test), else a
-        # golden-section step into the larger side
-        e_old, e = e, d
-        r = (x - w) * (fx - fv)
-        q = (x - v) * (fx - fw)
-        p = (x - v) * q - (x - w) * r
-        q = 2.0 * (q - r)
-        if q > 0.0:
-            p = -p
-        q = abs(q)
-        if abs(e_old) > tol and abs(p) < abs(0.5 * q * e_old) and q * (a - x) < p < q * (b - x):
-            d = p / q
-            if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
-                d = math.copysign(tol, mid - x)
-        else:
-            e = (a if x >= mid else b) - x
-            d = _GOLDEN * e
-        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-        fu = phi(u)
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    raise RuntimeError(f"the Legendre minimisation failed to converge at lambda={lam!r}")
+    return x, fx
 
 
 def L_value_legendre(lam: float) -> LogValue:
     """ln L(lam) as the convex conjugate of ln Gamma, min over g of
-    ln Gamma(g) - g ln(lam), by Brent's method (``_legendre_argmin``).
+    ln Gamma(g) - g ln(lam), at the bracketed start of ``_legendre_argmin``.
 
-    Independent of L_value (only ln_gamma, never psi).  The two agree within
-    1e-12 (1 + |ln L|) from lam = 5e-324 to 2.5563481638717604e305 (at worst
-    2.6e-13 (1 + |ln L|) on 3000 log-spaced lam, near 3.6e295); beyond it ln L
-    is not a finite double and both refuse with one ValueError.
+    Independent of L_value: three ln_gamma calls, never psi.  The two agree
+    within 1e-14 (1 + |ln L|) from lam = 5e-324 to 2.5563481638717604e305;
+    beyond it ln L is not a finite double and both refuse with one ValueError.
     """
     _, fmin = _legendre_argmin(lam)
     return LogValue(fmin)

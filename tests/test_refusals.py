@@ -7,7 +7,9 @@ either sign (the schedule's alpha) as "<name> must be a finite real, got
 <value>"; an integer (n, an n_grid entry, samples, seed) as "<caller> requires
 integer <name> >= <minimum>, got <name> = <value>".  A lambda above the largest
 at which ln L is a finite double is refused by every ln L route with
-solve_saddle's one message.
+solve_saddle's one message.  A dual vector f that is no tuple, list or array
+of reals is refused as "all entries of f must be finite positive reals", and
+weights that are no reals as "weights must be finite, got <weights>".
 """
 
 import math
@@ -35,6 +37,8 @@ from hslaplace import (
     fn_montecarlo,
     fn_quadrature,
     fn_saddle_asymptotic,
+    geometric_mean,
+    laplace_dn,
     ln_gamma,
     solve_saddle,
     tabulate,
@@ -124,6 +128,33 @@ INTEGER = [
 # an integral float is not an integer either
 BAD_INTEGER = [True, 5.5, np.float64(5.0), "5"]
 
+# every entry point that takes a dual vector f: np.asarray parsed a str or bytes
+# entry and read a bool as 1.0 (laplace_dn gave -2.4677 for (b"1", 2.0)), and a
+# generator met a TypeError or was read by tuple()
+DUAL = [
+    ("geometric_mean", geometric_mean),
+    ("HypersphereSpec", lambda f: HypersphereSpec(2, 1.0, f)),
+    ("laplace_dn", lambda f: laplace_dn(HypersphereSpec(2, 1.0, f))),
+    ("GrandEnsembleSpec", lambda f: GrandEnsembleSpec(1.0, f, (0.5, 0.5))),
+    ("ensemble_comparison", lambda f: ensemble_comparison(f, 1.0, LINEAR, (2, 3), 0.05)),
+]
+# (id, a maker of the bad f: a generator can be read only once)
+BAD_DUAL = [
+    ("str", lambda: ("1.0", 2.0)),
+    ("bytes", lambda: (b"1", 2.0)),
+    ("np.str_", lambda: (np.str_("1.5"), 2.0)),
+    ("np.True_", lambda: (np.True_, 2.0)),
+    ("True", lambda: [2.0, True]),
+    ("bool-array", lambda: np.array([True, True])),
+    ("str-array", lambda: np.array(["1.0", "2.0"])),
+    ("generator", lambda: (v for v in (1.0, 2.0))),
+    ("a-str", lambda: "12"),
+    ("a-bytes", lambda: b"12"),
+]
+# GrandEnsembleSpec accepted the weights (True, False) and raised TypeError on
+# ("0.5", "0.5")
+BAD_WEIGHTS = [(True, False), (np.True_, np.False_), ("0.5", "0.5"), (b"1", 0.0)]
+
 
 def _positive_cases():
     for caller, name, call in POSITIVE:
@@ -196,3 +227,18 @@ def test_cross_check_records_a_monte_carlo_refusal(name, kwargs):
     assert refusals == {
         Method.MONTE_CARLO: _integer_message("fn_montecarlo", name, minimum, kwargs[name])
     }
+
+
+@pytest.mark.parametrize("call, make", [
+    pytest.param(call, make, id=f"{caller}-{kind}") for caller, call in DUAL for kind, make in BAD_DUAL
+])
+def test_a_dual_vector_has_one_refusal(call, make):
+    with pytest.raises(ValueError, match="^all entries of f must be finite positive reals$"):
+        call(make())
+
+
+@pytest.mark.parametrize("bad", BAD_WEIGHTS, ids=repr)
+def test_weights_have_one_refusal(bad):
+    message = f"weights must be finite, got {bad}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GrandEnsembleSpec(1.0, (1.0, 2.0), bad)
