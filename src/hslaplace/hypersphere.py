@@ -70,14 +70,19 @@ class GrandEnsembleSpec:
     def __post_init__(self):
         _positive(self.theta, "theta")
         size = _dual_vector(self.f).size
-        if not size or size != len(self.weights):
-            raise ValueError("f and weights must be nonempty and of equal length")
-        if not all(math.isfinite(_real(w)) for w in self.weights):
+        # a tuple, list or array of reals, as for f: a generator has no len()
+        weights = self.weights.tolist() if isinstance(self.weights, np.ndarray) else self.weights
+        if (not isinstance(weights, (tuple, list))
+                or not all(math.isfinite(_real(w)) for w in weights)):
             raise ValueError(f"weights must be finite, got {self.weights}")
-        if any(w < 0.0 for w in self.weights):
+        if not size or size != len(weights):
+            raise ValueError("f and weights must be nonempty and of equal length")
+        if any(w < 0.0 for w in weights):
             raise ValueError("weights must be nonnegative")
-        if abs(math.fsum(self.weights) - 1.0) > 1e-12:
+        if abs(math.fsum(weights) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
+        object.__setattr__(self, "f", tuple(self.f))
+        object.__setattr__(self, "weights", tuple(weights))
 
 
 class Regime(str, enum.Enum):

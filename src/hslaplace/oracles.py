@@ -442,14 +442,17 @@ def fn_montecarlo(n: int, lam: float, samples: int, seed: int) -> OracleResult:
     centres S): p is the density of X = ln Y - ln lambda, Y ~ Gamma(gamma),
     and S sums n - 1 draws of X from the grand-canonical product measure.
     ln Y is drawn as ln G(gamma + 1) + ln(U)/gamma so that small gamma cannot
-    underflow; the n - 1 ln U sum to minus one Gamma(n - 1) draw.  S is the
-    only array of length samples: the draws and the weight chain go through
-    it in blocks of 2^14, and only the max, exp, mean and the standard error,
-    formed in place, see it whole.  The traced peak is 1.35-1.59 x samples x 8
-    bytes at 2e5 samples and 1.07-1.12 x at 1e6 (S and one block's
-    temporaries; 2.00 x while np.std made a temporary of length samples).
-    Time is O(n samples), so n is capped at the route's 1000; err_ln is one
-    standard error + the error of n ln L (``_ln_l_rounding``).
+    underflow; the n - 1 ln U sum to minus one Gamma(n - 1) draw.  The
+    ln-weight of a sample is ln p(-S) + lambda + ln L = -gamma S - lambda
+    expm1(-S), formed in four passes per block; it rounds within about
+    2^-52 (lambda |expm1(-S)| + gamma |S|), of the order of the gamma |ln lambda|
+    term of ``_ln_l_rounding`` and far below the standard error.  S is the only
+    array of length samples: the draws and the weights go through it in
+    blocks of 2^14 with one reused buffer of a block, and only the max, exp,
+    mean and the standard error, formed in place, see it whole.  The traced
+    peak is 1.08 x samples x 8 bytes at 2e5 samples and 1.02 x at 1e6 (S and
+    the buffer).  Time is O(n samples), so n is capped at the route's 1000;
+    err_ln is one standard error + the error of n ln L (``_ln_l_rounding``).
     """
     n = _check_n(n, 2, "fn_montecarlo")
     lam = _positive(lam, "lambda")
@@ -460,10 +463,10 @@ def fn_montecarlo(n: int, lam: float, samples: int, seed: int) -> OracleResult:
     if n > _MONTE_CARLO_N_MAX:
         raise ValueError(f"fn_montecarlo requires n <= {_MONTE_CARLO_N_MAX}, got n = {n}")
     rng = np.random.Generator(np.random.PCG64(seed))
+    # s holds -S, so that the weights need no negation pass
     s = rng.standard_gamma(n - 1.0, samples)
-    np.negative(s, out=s)
     s /= sol.gamma
-    s -= (n - 1) * math.log(lam)
+    s += (n - 1) * math.log(lam)
     blocks = [s[i:i + _MONTE_CARLO_BLOCK] for i in range(0, samples, _MONTE_CARLO_BLOCK)]
     g = np.empty(blocks[0].size)
     # consecutive out= slices take the generator's values in the order of one
@@ -471,14 +474,15 @@ def fn_montecarlo(n: int, lam: float, samples: int, seed: int) -> OracleResult:
     for _ in range(n - 1):
         for b in blocks:
             x = g[:b.size]
-            b += np.log(rng.standard_gamma(sol.gamma + 1.0, out=x), out=x)
-    # ln p(-S) + lambda + ln L = -gamma S - lambda (e^-S - 1); e^-S overflows to a weight 0
+            b -= np.log(rng.standard_gamma(sol.gamma + 1.0, out=x), out=x)
+    # ln p(-S) + lambda + ln L = -gamma S - lambda expm1(-S) = gamma s - lambda
+    # expm1(s), four passes per block; expm1(s) overflows to a weight 0
     with np.errstate(over="ignore"):
         for b in blocks:
-            w = _exp_excess(np.negative(b, out=g[:b.size]))
-            w *= -lam
-            b *= sol.gamma - lam
-            np.subtract(w, b, out=b)
+            w = np.expm1(b, out=g[:b.size])
+            w *= lam
+            b *= sol.gamma
+            b -= w
     m = float(s.max())
     s -= m
     e = np.exp(s, out=s)

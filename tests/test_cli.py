@@ -632,7 +632,9 @@ GOLDEN = [
     # They moved again, with the Monte Carlo cells, when ln_gamma below 10
     # became the Taylor series at 2; before: asymptotic -1.4791528889683918e+00
     # and 3.0975048348543655e-01, Monte Carlo -1.4826168743758528e+00 and
-    # 3.1184150470565286e-01
+    # 3.1184150470565286e-01.  The Monte Carlo cell at n = 3 moved again when the
+    # weights became -gamma S - lambda expm1(-S) in one expm1 pass; before:
+    # 3.1184150470565208e-01
     ("oracle --method asymptotic --n 2 --lambda 1",
      "n,lambda,method,ln_F,err_est\n"
      "2,1.0000000000000000e+00,asymptotic,-1.4791528889683818e+00,2.6979759392740136e-03\n"),
@@ -646,7 +648,7 @@ GOLDEN = [
     ("compare --n 3 --lambda 0.5 --samples 20000 --seed 3",
      "n,lambda,closed-form,quadrature,contour,monte-carlo,asymptotic,max_pairwise_dev\n"
      "3,5.0000000000000000e-01,,3.0947544338275979e-01,3.0947544338275995e-01,"
-     "3.1184150470565208e-01,3.0975048348543566e-01,1.6653345369377348e-16\n"),
+     "3.1184150470565219e-01,3.0975048348543566e-01,1.6653345369377348e-16\n"),
     ("ensemble --f 1,2,3 --epsilon 0.02 --n-grid 5,10,20",
      "n,lambda_eff,ln_dn_per_n,regime,ln_psi_theta\n"
      "5,1.8171205928321394e+00,-1.5026061269302213e+00,vanishes,-5.9725315640935162e-01\n"

@@ -353,6 +353,13 @@ class TestPsiTheta:
             "print(psi_theta(spec).ln_value.hex())\n")
         assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 1
 
+    def test_spec_stores_tuples_and_hashes(self):
+        # a list f or weights was stored as passed, so hash() raised TypeError
+        spec = GrandEnsembleSpec(1.0, [1.0, 2.0], [0.5, 0.5])
+        same = GrandEnsembleSpec(1.0, (1.0, 2.0), np.array([0.5, 0.5]))
+        assert (spec.f, spec.weights) == ((1.0, 2.0), (0.5, 0.5))
+        assert spec == same and hash(spec) == hash(same)
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             GrandEnsembleSpec(theta=1.0, f=(1.0, 2.0), weights=(0.5, 0.6))

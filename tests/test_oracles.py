@@ -84,31 +84,38 @@ MC_GRID = [
 # (-0x1.27b430f85c3d4p-1, 0x1.534735292a2dfp-8), (0x1.559d4bd4753d7p+3,
 # 0x1.2b8d3c25baa8cp-7), (-0x1.e6f1ef83c8d20p+2, 0x1.fc3ca43ec2011p-7),
 # (-0x1.93764ffe2ffc2p+7, 0x1.4751875996a07p-10), (-0x1.7ad2a2ac7cf7ap+0,
-# 0x1.786d7326b97c6p-10).
+# 0x1.786d7326b97c6p-10).  Seven pins moved when the weights became
+# -gamma S - lambda expm1(-S) in one expm1 pass instead of the Taylor form of
+# e^-S - 1 + S; before, in the order below, skipping the six that kept their
+# bits, as (ln_value, err_ln): (0x1.4512e9415b510p+1, 0x1.3497dfc5f0926p-8),
+# (-0x1.93739a2c01c83p+7, 0x1.695124745b0e4p-9), (-0x1.7d7841d8b38f5p+29,
+# 0x1.e30c7f7d19367p-8), (-0x1.27b430f85c3d4p-1, 0x1.534735292a2dcp-8),
+# (0x1.559d4bd4753d6p+3, 0x1.2b8d3c25baa8dp-7), (-0x1.7d7841d8ab169p+29,
+# 0x1.b130e0f45032bp-9), (-0x1.7ad2a2ac7cf79p+0, 0x1.786d7326b97e6p-10).
 MC_PINNED = [
     # pinned before the weight chain was rewritten in place; err_ln before the
     # re-pin, in order: 0x1.3497dfc5eaf15p-8, 0x1.695124744fcbcp-9,
     # 0x1.cc28e902b5e7ep-8, 0x1.fceb63802a302p-7, 0x1.e30c7f7d02b1dp-8
-    (2, 1e-3, 20_000, 1, "0x1.4512e9415b510p+1", "0x1.3497dfc5f0926p-8"),
-    (2, 100.0, 20_000, 2, "-0x1.93739a2c01c83p+7", "0x1.695124745b0e4p-9"),
+    (2, 1e-3, 20_000, 1, "0x1.4512e9415b511p+1", "0x1.3497dfc5f0927p-8"),
+    (2, 100.0, 20_000, 2, "-0x1.93739a2c01c83p+7", "0x1.695124745b0e3p-9"),
     (3, 1e-20, 20_000, 3, "0x1.2458cc75c3ff2p+3", "0x1.cc28e902be59bp-8"),
     (40, 0.0944, 20_000, 4, "0x1.073e8d5e681dap+6", "0x1.fceb6380627bap-7"),
-    (8, 1e8, 20_000, 5, "-0x1.7d7841d8b38f5p+29", "0x1.e30c7f7d19367p-8"),
+    (8, 1e8, 20_000, 5, "-0x1.7d7841d8b38f5p+29", "0x1.e30c7f7d19345p-8"),
     # pinned while the draws and the weight chain still ran on whole arrays:
     # 16384 samples fill one block of 2^14 exactly, 16385 leave a last block of
     # one element; err_ln before the re-pin, in order: 0x1.5347352921bc4p-8,
     # 0x1.2b8d3c25b39f5p-7, 0x1.fc3ca43e89b59p-7, 0x1.47518759801bep-10,
     # 0x1.b130e0f423298p-9
-    (3, 0.7, 16_384, 11, "-0x1.27b430f85c3d4p-1", "0x1.534735292a2dcp-8"),
-    (5, 1e-3, 16_385, 12, "0x1.559d4bd4753d6p+3", "0x1.2b8d3c25baa8dp-7"),
+    (3, 0.7, 16_384, 11, "-0x1.27b430f85c3d4p-1", "0x1.534735292a2ddp-8"),
+    (5, 1e-3, 16_385, 12, "0x1.559d4bd4753d6p+3", "0x1.2b8d3c25baa8bp-7"),
     (40, 1.0, 16_385, 14, "-0x1.e6f1ef83c8d21p+2", "0x1.fc3ca43ec203bp-7"),
     (2, 100.0, 100_000, 13, "-0x1.93764ffe2ffc2p+7", "0x1.4751875996a09p-10"),
-    (8, 1e8, 100_000, 15, "-0x1.7d7841d8ab169p+29", "0x1.b130e0f45032bp-9"),
+    (8, 1e8, 100_000, 15, "-0x1.7d7841d8ab169p+29", "0x1.b130e0f450328p-9"),
     # pinned while _exp_excess still moved its |u| < 1/2 entries through a
     # boolean mask and the standard error came from np.std: 40%, 13% and 57% of
     # the |S| values fall below 1/2, in random order; err_ln before the re-pin,
     # in order: 0x1.786d7326a2f7cp-10, 0x1.e1ce0894c0264p-10, 0x1.33f67685c0cafp-8
-    (2, 1.0, 100_000, 16, "-0x1.7ad2a2ac7cf79p+0", "0x1.786d7326b97e6p-10"),
+    (2, 1.0, 100_000, 16, "-0x1.7ad2a2ac7cf79p+0", "0x1.786d7326b97e5p-10"),
     (2, 0.05, 100_000, 17, "0x1.94bda84ec53b6p+0", "0x1.e1ce0894d6aaep-10"),
     (3, 5.0, 16_385, 18, "-0x1.eb0c5f8725788p+3", "0x1.33f67685c93cbp-8"),
 ]
@@ -917,6 +924,23 @@ class TestMonteCarlo:
         res = fn_montecarlo(n, lam, 20_000, seed=3)
         ref = f2_exact(lam) if n == 2 else fn_contour(n, lam)
         assert abs(res.value.ln_value - ref.value.ln_value) <= 5.0 * res.err_ln + ref.err_ln
+
+    @pytest.mark.parametrize("n, lam", MC_GRID + [(2, 1e13), (3, 1e13), (8, 1e13)])
+    def test_weights_match_the_cancellation_free_form(self, n, lam):
+        # the same seeded draws, whole-array, weighted through _exp_excess:
+        # -gamma S - lambda expm1(-S) cancels where lambda |S| is large, and
+        # moves ln F by far less than the rounding of n ln L already claimed
+        sol = solve_saddle(lam)
+        rng = np.random.Generator(np.random.PCG64(3))
+        s = -rng.standard_gamma(n - 1.0, 20_000) / sol.gamma - (n - 1) * math.log(lam)
+        for _ in range(n - 1):
+            s += np.log(rng.standard_gamma(sol.gamma + 1.0, 20_000))
+        with np.errstate(over="ignore"):
+            w = -lam * hslaplace.oracles._exp_excess(-s) - (sol.gamma - lam) * s
+        m = w.max()
+        ref = (n - 1) * sol.ln_L - lam + m + math.log(np.exp(w - m).mean())
+        got = fn_montecarlo(n, lam, 20_000, seed=3).value.ln_value
+        assert abs(got - ref) <= hslaplace.oracles._ln_l_rounding(n, sol)
 
     @pytest.mark.parametrize("lam", [1e110, 1e200, 1e300])
     def test_claim_covers_the_rounding_of_n_ln_l(self, lam):

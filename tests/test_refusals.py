@@ -9,7 +9,8 @@ integer <name> >= <minimum>, got <name> = <value>".  A lambda above the largest
 at which ln L is a finite double is refused by every ln L route with
 solve_saddle's one message.  A dual vector f that is no tuple, list or array
 of reals is refused as "all entries of f must be finite positive reals", and
-weights that are no reals as "weights must be finite, got <weights>".
+weights that are no tuple, list or array of reals as "weights must be finite,
+got <weights>".
 """
 
 import math
@@ -154,6 +155,15 @@ BAD_DUAL = [
 # GrandEnsembleSpec accepted the weights (True, False) and raised TypeError on
 # ("0.5", "0.5")
 BAD_WEIGHTS = [(True, False), (np.True_, np.False_), ("0.5", "0.5"), (b"1", 0.0)]
+# (id, a maker of weights that are no tuple, list or array): a generator met a
+# bare TypeError from len()
+BAD_WEIGHT_CONTAINERS = [
+    ("generator", lambda: (v for v in (0.5, 0.5))),
+    ("float", lambda: 1.0),
+    ("None", lambda: None),
+    ("set", lambda: {0.25, 0.75}),
+    ("dict", lambda: {0: 0.5, 1: 0.5}),
+]
 
 
 def _positive_cases():
@@ -239,6 +249,15 @@ def test_a_dual_vector_has_one_refusal(call, make):
 
 @pytest.mark.parametrize("bad", BAD_WEIGHTS, ids=repr)
 def test_weights_have_one_refusal(bad):
+    message = f"weights must be finite, got {bad}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GrandEnsembleSpec(1.0, (1.0, 2.0), bad)
+
+
+@pytest.mark.parametrize("make", [make for _, make in BAD_WEIGHT_CONTAINERS],
+                         ids=[kind for kind, _ in BAD_WEIGHT_CONTAINERS])
+def test_weights_that_are_no_sequence_have_the_same_refusal(make):
+    bad = make()
     message = f"weights must be finite, got {bad}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         GrandEnsembleSpec(1.0, (1.0, 2.0), bad)
