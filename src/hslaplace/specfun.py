@@ -39,8 +39,9 @@ EULER_GAMMA = 0.5772156649015329
 
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 _SHIFT = 10.0
-# columns per shift block: 11 rows of 2^11 complex is 360 KB, so that the block
-# and its two term temporaries fit in a 2 MiB L2 cache
+# columns per shift block: 11 rows of 2^11 complex is 360 KB, and the term block
+# of 10 rows of two real series or one complex series 328 KB, so that the z
+# block, the term block and its zeroed copy fit in a 2 MiB L2 cache
 _BLOCK_COLUMNS = 1 << 11
 # below 1/sqrt(max float) psi'(x) ~ 1/x^2 is not a finite double
 _TRIGAMMA_MIN = 1.0 / math.sqrt(sys.float_info.max)
@@ -108,10 +109,10 @@ def _finite(x, name) -> float:
 
 def _sum_down(a):
     """Sums the 2-D array a down its rows in place, in row order: a row at a time
-    past 256 columns, where np.add.accumulate, which walks the columns one by one
-    (55 ns each against 1.5 us a row add on a 2.1 GHz Xeon), costs more.  Every
-    block of 257 to _BLOCK_COLUMNS columns takes the row path."""
-    if a.shape[1] <= 256:
+    past 16 columns a row, where np.add.accumulate, which walks the columns one by
+    one (about 40 ns a column of 11 rows, 20 ns of 4, against 0.7 us a row add of
+    up to a few hundred columns on a 2.1 GHz Xeon), costs more."""
+    if a.shape[1] <= 16 * len(a):
         return np.add.accumulate(a, axis=0, out=a)
     for j in range(1, len(a)):
         a[j] += a[j - 1]
@@ -125,16 +126,17 @@ def _series_array(z, *series):
     Re z >= _SHIFT and, for each (coeffs, term) pair in series, sums term(z)
     over the steps and Horner-sums coeffs in w = 1/z^2.  Returns the shifted
     z, w and one (series sum, shift sum) pair per entry of series, flat and
-    in the order of z.
+    in the order of z.  term(z, out) writes into out, as a ufunc does.
 
     Column i of a (steps + 1) x size block holds z_i over the steps 1.0 while
     z_i still shifts, 0.0 after: summed down, row j is z_i + 1.0 + ... + 1.0
-    as in an element-by-element loop.  Each term is one call on the block,
-    zeroed past z_i's steps and summed down (np.add.reduce would sum a single
-    column pairwise); + 0.0 gives a -0.0 sum the sign of 0.0 + ... has.
+    as in an element-by-element loop.  The terms of all S series go into one
+    steps x (S size) block, zeroed past z_i's steps and summed down once
+    (np.add.reduce would sum a single column pairwise); + 0.0 gives a -0.0 sum
+    the sign of 0.0 + ... has.
     """
     z = z.reshape(-1).copy()
-    shifts = [np.zeros_like(z) for _ in series]
+    shifts = np.zeros((len(series), z.size), z.dtype)
     # z * z overflows above |z| ~ 1.34e154, padded rows included (inf - inf = nan
     # where Re z and |Im z| both do); there |w| < 5.6e-309 is below every last bit
     with np.errstate(over="ignore", invalid="ignore"):
@@ -147,9 +149,12 @@ def _series_array(z, *series):
             block = np.concatenate((zc[None], active))
             # copied back only where z stepped: z + 0.0 turns Im z = -0.0 to +0.0
             np.copyto(zc, _sum_down(block)[-1], where=active[0])
-            for shift, (_, term) in zip(shifts, series):
-                t = np.where(active, term(block[:-1]), 0.0)
-                np.add(_sum_down(t)[-1], 0.0, out=shift[lo:lo + _BLOCK_COLUMNS])
+            t = np.empty((len(active), len(series), zc.size), z.dtype)
+            for i, (_, term) in enumerate(series):
+                term(block[:-1], t[:, i])
+            t = np.where(active[:, None], t, 0.0).reshape(len(active), -1)
+            total = _sum_down(t)[-1].reshape(len(series), -1)
+            np.add(total, 0.0, out=shifts[:, lo:lo + _BLOCK_COLUMNS])
         z2 = z * z
         w = 1.0 / z2
     w[~np.isfinite(z2)] = 0.0
@@ -163,8 +168,16 @@ def _series_array(z, *series):
     return z, w, sums
 
 
-_DIGAMMA_SERIES = (_DIGAMMA_COEFF, lambda z: 1.0 / z)
-_TRIGAMMA_SERIES = (_TRIGAMMA_COEFF, lambda z: 1.0 / (z * z))
+def _reciprocal(z, out=None):
+    return np.divide(1.0, z, out=out)
+
+
+def _reciprocal_square(z, out=None):
+    return np.divide(1.0, np.multiply(z, z, out=out), out=out)
+
+
+_DIGAMMA_SERIES = (_DIGAMMA_COEFF, _reciprocal)
+_TRIGAMMA_SERIES = (_TRIGAMMA_COEFF, _reciprocal_square)
 
 
 def _digamma_trigamma_array(x):

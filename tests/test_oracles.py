@@ -949,11 +949,13 @@ class TestMonteCarlo:
 
     def test_memory_is_linear_in_samples(self):
         # the Gaussian proposal held several (samples x n) arrays: 96 MB at
-        # n = 200; at n = 2, lambda = 100 every |u| < 1/2 takes the Taylor branch.
-        # At 2e5 samples the whole-array draw and weight chain peaked at 4.13 and
-        # 5.13 x samples x 8 bytes, and S with np.std's sample-length temporary at
-        # 2.00; S with one block's temporaries and the standard error in place in
-        # S peak at 1.35-1.59 (2e5 samples) and 1.07-1.12 (1e6)
+        # n = 200.  At 2e5 samples the whole-array draw and weight chain peaked at
+        # 4.13 and 5.13 x samples x 8 bytes, and S with np.std's sample-length
+        # temporary at 2.00; S with one block's temporaries and the standard error
+        # in place in S peak at 1.08 (2e5 samples) and 1.02 (1e6).  The first call
+        # of a process also imports numpy.random lazily, 1.56-1.83 x at 2e5, so an
+        # untraced call comes first and no point depends on the order of the tests
+        fn_montecarlo(2, 1.0, 10_000, seed=3)
         for samples, bound, points in ((20_000, 10, ((200, 1.0), (2, 100.0))),
                                        (200_000, 1.75, ((3, 1.0), (2, 100.0))),
                                        (1_000_000, 1.25, ((3, 1.0), (2, 100.0)))):

@@ -390,7 +390,7 @@ class TestSeriesArray:
         np.array([complex(9.5, -0.0), complex(9.25, -0.0)]),
         # no shift next to shifts: z keeps Im z = -0.0 (z + 0.0 would not)
         np.array([complex(12.0, -0.0), complex(5.0, -0.0), complex(0.5, -0.0)]),
-        # wider than 256 columns: summed a row at a time
+        # wider than 16 columns a row: summed a row at a time
         _RNG.uniform(1e-3, 15.0, 700),
         _RNG.uniform(1e-3, 15.0, 300) + 1j * _RNG.standard_normal(300),
         *_SHIFT_CASES,
