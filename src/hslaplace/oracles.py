@@ -150,7 +150,8 @@ def fn_quadrature(n: int, lam: float, tol: float = 1e-9) -> OracleResult:
     if not 1e-12 <= tol <= 1e-3:
         raise ValueError("tol must lie in [1e-12, 1e-3]")
     ln_lam = math.log(lam)
-    # saddle.inverse_digamma's guesses; lambda e^d = gamma holds to rounding
+    # Minka's guesses of the saddle, not inverse_digamma's polynomial start;
+    # lambda e^d = gamma holds to rounding
     large = ln_lam >= -2.22
     gamma = lam + 0.5 if large else -1.0 / (ln_lam + np.euler_gamma)
     d = math.log1p(0.5 / lam) if large else math.log(gamma) - ln_lam
@@ -274,8 +275,9 @@ def fn_contour(n: int, lam: float) -> OracleResult:
     d ln F_n / d ln lambda = -n (gamma - sum t Im I(t) / sum Re I(t)) over
     the trapezoid's nodes, I(t) = exp(n (phi(t) - phi(0))).
 
-    Raises RuntimeError where n phi(0), and so ln F_n, is not a finite
-    double, when no candidate T truncates the integrand, and when the
+    Raises ValueError where n phi(0) = n ln L, and so ln F_n, is not a
+    finite double, as the asymptotic and Monte Carlo routes do, and
+    RuntimeError when no candidate T truncates the integrand and when the
     running trapezoid sum is not finite and positive.
     """
     n = _check_n(n, 1, "fn_contour")
@@ -284,8 +286,7 @@ def fn_contour(n: int, lam: float) -> OracleResult:
     sol = solve_saddle(lam)
     gamma = sol.gamma
     phi0 = sol.ln_L
-    if not math.isfinite(n * phi0):
-        raise RuntimeError(f"n ln L is not a finite double at n = {n}, lambda = {lam!r}")
+    _check_n_ln_l(n, sol)
     drift = digamma(gamma) - ln_lam  # the saddle equation's residual, below 1e-13
 
     def integrand(t, v=None):

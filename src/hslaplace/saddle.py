@@ -29,8 +29,8 @@ import numpy as np
 
 from .logvalue import LogValue
 from .specfun import (
-    _TRIGAMMA_MIN, EULER_GAMMA, _digamma_trigamma_array, _horner, _positive, digamma, ln_gamma,
-    trigamma,
+    _NOT_REAL, _TRIGAMMA_MIN, EULER_GAMMA, _digamma_trigamma_array, _horner, _positive, digamma,
+    ln_gamma, trigamma,
 )
 
 
@@ -137,25 +137,23 @@ def _initial_guess_array(y):
 def inverse_digamma(y):
     """The unique gamma > 0 with psi(gamma) = y; accepts scalars or arrays.
 
-    Newton iteration with a safeguarded bracket from ``_initial_guess``, a
-    closed-form start within 1.3e-9 of the root relative (three polynomials,
-    in -1/(y + C) below y = -3, in y up to -1/2 and in e^-y above), so that
-    one step usually meets the stop: at most 2 psi calls per root over
-    lambda = e^y in [1e-8, 1e6].  The bracket starts at (0, inf) and the
-    residual signs narrow it; a step that leaves it is replaced by the
-    midpoint, or by twice the lower end while the bracket has no upper end.
-    Stops at |psi(g) - y| < 1e-13; at the first repeated iterate or the
-    50-step cap a root within 1e-12 max(1, |y|) is accepted, since from
-    y = -512 down an ulp of y exceeds 1e-13 (from y ~ -1.5e4 down, 1e-12).
-    Raises ValueError for y outside
-    [-sqrt(max float), ln(max float)] ~ [-1.34e154, 709.78]: above it the
-    root is not a finite double, below it psi' at the root is not, and
-    RuntimeError if the cap's tolerance is not met, which would indicate a
-    kernel bug rather than a bad input.  Arrays go through
-    ``_inverse_digamma_array``, whose roots are this route's bit for bit, except
-    where its psi (np.log) and this route's (math.log) round apart at a Newton
-    iterate, which moves the next one: 3 of 847 000 log-uniform lambda = e^y in
-    [5e-324, 2.55e305], 1 to 6 ulp apart.
+    The one Newton policy of both routes.  It starts at ``_initial_guess``,
+    within 1.3e-9 of the root relative (three polynomials, in -1/(y + C) below
+    y = -3, in y up to -1/2 and in e^-y above), so that one step usually meets
+    the stop: at most 2 psi calls per root over lambda = e^y in [1e-8, 1e6].  A
+    bracket starts at (0, inf) and the residual signs narrow it; a step that
+    leaves it is replaced by the midpoint, or by twice the lower end while the
+    bracket has no upper end.  Stops at |psi(g) - y| < 1e-13; at the first
+    repeated iterate or the 50-step cap a root within 1e-12 max(1, |y|) is
+    accepted, since from y = -512 down an ulp of y exceeds 1e-13 (from
+    y ~ -1.5e4 down, 1e-12).  Raises ValueError for y outside
+    [-sqrt(max float), ln(max float)] ~ [-1.34e154, 709.78], where the root or
+    psi' at it is not a finite double, and RuntimeError if the cap's tolerance
+    is not met, which would indicate a kernel bug.  Arrays go through
+    ``_inverse_digamma_array``: the start and one step, then this route for any
+    other root.  Its roots are this route's bit for bit, except where its psi
+    (np.log) and this one's (math.log) round apart at the start: 2 of 847 000
+    log-uniform lambda = e^y in [5e-324, 2.55e305], 1 and 6 ulp apart.
     """
     if not isinstance(y, (float, int)):
         return _inverse_digamma_array(y)[0]
@@ -172,8 +170,7 @@ def inverse_digamma(y):
             hi = min(hi, g)
         else:
             lo = max(lo, g)
-        step = r / trigamma(g)
-        g_new = g - step
+        g_new = g - r / trigamma(g)
         if not (lo < g_new < hi):
             g_new = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
         # a repeated iterate never moves again
@@ -185,21 +182,19 @@ def inverse_digamma(y):
     raise RuntimeError(f"inverse_digamma failed to converge at y={y!r}")
 
 
-# Near y = 709.78 the root g ~ e^y is close to max float, where the step
-# r / psi1 and the fallbacks 2 lo and lo + hi (np.where evaluates both
-# branches for every element) can overflow; an infinite step fails the
-# bracket test.
+# near y = 709.78, g ~ e^y ~ max float, the step r / psi1 can overflow: inf leaves the bracket
 @np.errstate(over="ignore")
 def _inverse_digamma_array(y):
     """inverse_digamma over an array, with psi' at each root: (gamma, sigma).
 
-    Same start (``_initial_guess_array``, with the bits of the scalar one),
-    bracket rule, stopping rule, cap and errors as the scalar route, element
-    by element.  Each iteration evaluates psi and psi' of the elements not yet
-    converged in one pass, and a 200-point grid takes two passes, the second
-    its last: it returns as soon as every root is accepted.  sigma is the psi'
-    of the pass that accepted each root, bit for bit trigamma(gamma).  A 0-d y
-    gives two floats.
+    The scalar route's start (``_initial_guess_array``, with its bits) and its
+    first Newton step, in two psi and psi' passes: at the start, and at the step
+    of each root whose start misses the stop.  A root is accepted by the scalar
+    route's stop test, with its pass's psi' as sigma.  Any other root, whose
+    step leaves the bracket of its first residual or misses the stop (none over
+    lambda = e^y in [1e-8, 1e6]), is the scalar ``inverse_digamma``'s, with
+    trigamma's sigma: the bracket, fallback, cap and RuntimeError live there.
+    A 0-d y gives two floats.
     """
     arr = np.asarray(y, dtype=float)
     bad = ~((arr >= _Y_MIN) & (arr <= _Y_MAX))
@@ -207,44 +202,24 @@ def _inverse_digamma_array(y):
         raise ValueError(f"{_DOMAIN}, got {float(arr[bad].flat[0])!r}")
     yv = arr.reshape(-1)
     g = _initial_guess_array(yv)
-    out = np.empty_like(g)
-    sigma = np.empty_like(g)
-    idx = np.arange(g.size)
-    lo = np.zeros_like(g)
-    hi = np.full_like(g, np.inf)
-    g_prev = np.zeros_like(g)
-    for k in range(_NEWTON_CAP + 1):
-        if not idx.size:
-            break
-        psi, psi1 = _digamma_trigamma_array(g)
-        r = psi - yv
-        done = np.abs(r) < _NEWTON_TOL
-        # a repeated iterate never moves again; at the cap every iterate counts as one
-        stuck = g == (g_prev if k < _NEWTON_CAP else g)
-        if stuck.any():
-            missed = stuck & (np.abs(r) >= 1e-12 * np.maximum(1.0, np.abs(yv)))
-            if missed.any():
-                y0 = float(yv[missed][0])
-                raise RuntimeError(f"inverse_digamma failed to converge at y={y0!r}")
-            done |= stuck
-        if done.any():
-            out[idx[done]] = g[done]
-            sigma[idx[done]] = psi1[done]
-            if done.all():
-                break
-            left = ~done
-            idx, g, yv, lo, hi, r, psi1 = (a[left] for a in (idx, g, yv, lo, hi, r, psi1))
-        above = r > 0.0
-        hi = np.where(above, np.minimum(hi, g), hi)
-        lo = np.where(above, lo, np.maximum(lo, g))
-        g_prev, g = g, g - r / psi1
-        inside = (lo < g) & (g < hi)
-        if not inside.all():
-            fallback = np.where(np.isinf(hi), 2.0 * lo, 0.5 * (lo + hi))
-            g = np.where(inside, g, fallback)
+    psi, sigma = _digamma_trigamma_array(g)
+    r = psi - yv
+    miss = (np.abs(r) >= _NEWTON_TOL).nonzero()[0]
+    if miss.size:
+        g0, above = g[miss], r[miss] > 0.0
+        g1 = g0 - r[miss] / sigma[miss]
+        # the scalar route's bracket after one residual: (0, g0) above the
+        # root, (g0, inf) below; a step that leaves it is not evaluated
+        inside = (np.where(above, 0.0, g0) < g1) & (g1 < np.where(above, g0, np.inf))
+        psi, psi1 = _digamma_trigamma_array(np.where(inside, g1, g0))
+        done = inside & (np.abs(psi - yv[miss]) < _NEWTON_TOL)
+        g[miss[done]], sigma[miss[done]] = g1[done], psi1[done]
+        for i in miss[~done].tolist():
+            g[i] = root = inverse_digamma(float(yv[i]))
+            sigma[i] = trigamma(root)
     if arr.ndim == 0:
-        return float(out[0]), float(sigma[0])
-    return out.reshape(arr.shape), sigma.reshape(arr.shape)
+        return float(g[0]), float(sigma[0])
+    return g.reshape(arr.shape), sigma.reshape(arr.shape)
 
 
 def solve_saddle(lam: float) -> SaddleSolution:
@@ -360,19 +335,24 @@ def tabulate(lambda_grid) -> list[SaddleSolution]:
 
     The gamma column is strictly increasing and the ln_L column strictly
     decreasing; evaluation is independent per point, so the output does not
-    depend on evaluation order.  The whole grid is solved by one array Newton
-    iteration (``_inverse_digamma_array``, two psi and psi' passes on a
-    200-point grid), whose last psi' evaluation at each root is the sigma
-    column; one ``ln_gamma`` array call then gives ln L.  Rows equal
-    ``solve_saddle``'s in gamma and sigma bit for bit, except at the rare
-    lambda where the array psi and the scalar one round apart on the Newton
-    path (see ``inverse_digamma``), and in ln L within 2 ulp of
-    max(1, |ln Gamma(gamma)|), the gap between ``ln_gamma``'s np.log and
-    math.log paths; ln L crosses zero at lambda_cr, so no relative bound
-    holds.  Raises ValueError naming the first grid point where ln L is not a
-    finite double.
+    depend on evaluation order.  ``_inverse_digamma_array`` gives the gamma
+    and sigma columns (two psi and psi' passes), one ``ln_gamma`` array call
+    ln L.  Rows equal ``solve_saddle``'s in gamma and sigma bit for bit, except
+    at the rare lambda where the array psi and the scalar one round apart (see
+    ``inverse_digamma``), and in ln L within 2 ulp of max(1, |ln Gamma(gamma)|),
+    the gap between ``ln_gamma``'s np.log and math.log paths; ln L crosses zero
+    at lambda_cr, so no relative bound holds.  Raises ValueError for a grid
+    point that is a bool, a str or bytes, or not finite and positive, for a
+    grid that does not increase, and naming the first grid point where ln L is
+    not a finite double.
     """
-    grid = [float(v) for v in lambda_grid]
+    points = lambda_grid if isinstance(lambda_grid, list) else list(lambda_grid)
+    # float() reads a bool, a str or bytes; one test per type, not per point
+    kinds = set(map(type, points))
+    if isinstance(lambda_grid, _NOT_REAL) or any(issubclass(t, _NOT_REAL) for t in kinds):
+        bad = next((v for v in points if isinstance(v, _NOT_REAL)), lambda_grid)
+        raise ValueError(f"lambda must be a finite positive real, got {bad!r}")
+    grid = points if kinds <= {float} else [float(v) for v in points]
     arr = np.array(grid)
     if not (np.isfinite(arr) & (arr > 0.0)).all():
         raise ValueError("tabulate requires positive grid points")

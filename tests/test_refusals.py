@@ -5,7 +5,9 @@ A positive real (lambda, x, r, theta, epsilon, the schedule's c, tol) is
 refused as "<name> must be a finite positive real, got <value>"; a real of
 either sign (the schedule's alpha) as "<name> must be a finite real, got
 <value>"; an integer (n, an n_grid entry, samples, seed) as "<caller> requires
-integer <name> >= <minimum>, got <name> = <value>".  A lambda above the largest
+integer <name> >= <minimum>, got <name> = <value>".  A tabulate grid point that
+is a bool, a str or bytes is refused as a lambda, naming the point (a bytes
+grid whole).  A lambda above the largest
 at which ln L is a finite double is refused by every ln L route with
 solve_saddle's one message.  A dual vector f that is no tuple, list or array
 of reals is refused as "all entries of f must be finite positive reals", and
@@ -86,6 +88,14 @@ BAD_ARRAYS = [["2.0"], b"1.0", np.array([True, False]), np.str_("1.0")]
 # a sequence mixing bools into floats: np.asarray casts it to float64, so
 # ln_gamma([True, 2.0]) was [0., 0.]
 BAD_ARRAYS += [[True, 2.0], (2.0, True), [np.True_, 2.0], (np.True_, 2.0), [[2.0], [True]]]
+
+# (grid, the point named): tabulate read a bool, a str or bytes as a grid point,
+# tabulate([True, 2.0]) had a row at lambda = 1.0 and tabulate(b"12") rows at
+# 49.0 and 50.0; a bytes grid, whose points are ints, is named whole
+BAD_GRIDS = [([True, 2.0], True), ((0.5, np.True_), np.True_), (["0.5", "1.0"], "0.5"),
+             ([0.5, b"1"], b"1"), ([np.str_("1.0")], np.str_("1.0")), ("12", "1"),
+             (b"12", b"12"), (np.array([True, False]), np.True_),
+             (np.array(["0.5", "1.0"]), np.str_("0.5"))]
 
 # every ln L route refuses where ln L is not a finite double with solve_saddle's
 # message (ln L was nan); the Legendre route's scan stopped at 2^79 and raised
@@ -197,6 +207,13 @@ def test_a_positive_real_has_one_refusal(name, call, bad):
     message = f"{name} must be a finite positive real, got {bad!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(bad)
+
+
+@pytest.mark.parametrize("grid, bad", BAD_GRIDS, ids=repr)
+def test_a_grid_point_has_the_positive_real_refusal(grid, bad):
+    message = f"lambda must be a finite positive real, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tabulate(grid)
 
 
 @pytest.mark.parametrize("name, call, bad", [

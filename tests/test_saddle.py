@@ -222,7 +222,8 @@ class TestSolveSaddle:
         gamma, sigma = _inverse_digamma_array(np.array([math.log(v) for v, *_ in REPEATED_ITERATE]))
         assert [(g.hex(), s.hex()) for g, s in zip(gamma.tolist(), sigma.tolist())] == [
             (g, s) for _, g, s in REPEATED_ITERATE]
-        assert len(passes) <= 7
+        # the array route's start and one step; the scalar route finishes these roots
+        assert len(passes) == 2
 
     def test_largest_finite_ln_l(self):
         sol = solve_saddle(2.5e305)
@@ -457,8 +458,9 @@ class TestTabulate:
 
     @pytest.mark.parametrize("size", [1, 2, 257, 2000])
     def test_columns_are_the_kernels_bit_for_bit(self, size):
-        # sigma is the psi' of the Newton pass that accepted gamma; it must be
-        # trigamma(gamma) in every bit, as ln L must be ln_gamma's
+        # sigma is the psi' of the array pass that accepted gamma, or trigamma's
+        # where the scalar route finished the root; it must be trigamma(gamma)
+        # in every bit, as ln L must be ln_gamma's
         rng = np.random.default_rng(size)
         grids = [np.unique(10.0 ** rng.uniform(-320.0, 305.0, size)), np.logspace(-8, 6, 200)]
         for grid in grids:
@@ -472,9 +474,9 @@ class TestTabulate:
             assert got == want
 
     def test_sigma_of_roots_accepted_at_the_cap(self, monkeypatch):
-        # with no residual below the stopping tolerance every root is taken
-        # at a repeated iterate or the cap, within 1e-12, with its pass's psi'
-        # as sigma
+        # with no residual below the stopping tolerance the array route accepts
+        # no root, and the scalar route takes each at a repeated iterate or the
+        # cap, within 1e-12, with trigamma's sigma
         monkeypatch.setattr(hslaplace.saddle, "_NEWTON_TOL", 0.0)
         rows = tabulate(np.logspace(-300, 300, 50))
         assert [r.sigma.hex() for r in rows] == [trigamma(r.gamma).hex() for r in rows]
@@ -544,7 +546,7 @@ def _psi_rounds_apart(y):
 
 def _assert_equals_scalar_root(g, y):
     """The array route's root g of psi = y is the scalar route's bit for bit,
-    unless np.log and math.log round psi apart on the Newton path (3 of 847 000
+    unless np.log and math.log round psi apart on the Newton path (2 of 847 000
     log-uniform lambda), where the two differ by a few ulp: 1e-13 relative."""
     ref = inverse_digamma(y)
     if g != ref:
@@ -581,16 +583,42 @@ class TestArrayRoute:
             _assert_equals_scalar_root(g, y)
 
     @pytest.mark.parametrize("lam, ulps", [
-        (1.3459128530601215e-33, 1), (2.4567423495242374e-197, 1), (734.9435067157841, 6)])
+        (1.3459128530601215e-33, 1), (734.9435067157841, 6), (2.4567423495242374e-197, 0)])
     def test_routes_part_only_where_psi_rounds_apart(self, lam, ulps):
-        # the only three lambda of 847 000 log-uniform ones in [5e-324, 2.55e305]
-        # where the routes' gamma differ: np.log and math.log round the log in
-        # psi apart at a Newton iterate, which moves the next one
+        # the only two lambda of 847 000 log-uniform ones in [5e-324, 2.55e305]
+        # (exp of default_rng(seed).uniform(ln 5e-324, ln 2.55e305, size) at
+        # seeds 1, 2 and 35, sizes 500 000, 300 000 and 47 000) where the
+        # routes' gamma differ: np.log and math.log round the log in psi apart
+        # at the start, which moves the step.  At 2.4567423495242374e-197 they
+        # round apart too, but the scalar route gives that root to both
         (row,) = tabulate([lam])
         ref = solve_saddle(lam)
         assert _psi_rounds_apart(math.log(lam))
         assert abs(row.gamma - ref.gamma) == ulps * math.ulp(ref.gamma)
         _assert_matches_scalar_route([row])
+
+    def test_roots_the_scalar_route_finishes_are_its_own(self, monkeypatch):
+        # from lambda ~ 1e-222 down an ulp of y = ln lambda exceeds the stop and
+        # psi is steep, so a root whose one step does not hit psi = y exactly
+        # goes to the scalar route; above 1e222 psi is flat and one step
+        # almost always does
+        finished = []
+
+        def counting(y):
+            if isinstance(y, float):
+                finished.append(y)
+            return inverse_digamma(y)
+
+        rng = np.random.default_rng(11)
+        for lo, hi in ((-300.0, -222.0), (222.0, math.log10(2.5e305))):
+            grid = np.unique(10.0 ** rng.uniform(lo, hi, 300))
+            with monkeypatch.context() as m:
+                m.setattr(hslaplace.saddle, "inverse_digamma", counting)
+                rows = tabulate(grid)
+            want = [solve_saddle(v) for v in grid.tolist()]
+            assert [(r.gamma.hex(), r.sigma.hex()) for r in rows] == [
+                (w.gamma.hex(), w.sigma.hex()) for w in want]
+        assert len(finished) > 50
 
     def test_seeded_grids_across_the_range(self):
         rng = np.random.default_rng(5)
@@ -665,6 +693,9 @@ class TestArrayRoute:
         monkeypatch.setattr(hslaplace.saddle, "_NEWTON_CAP", 0)
         with pytest.raises(RuntimeError, match="failed to converge"):
             inverse_digamma(-2.0)
+        # the array route takes its one step whatever the cap and gives the
+        # scalar route only the roots that step leaves: with no stop, all
+        monkeypatch.setattr(hslaplace.saddle, "_NEWTON_TOL", 0.0)
         with pytest.raises(RuntimeError, match="failed to converge"):
             inverse_digamma(np.array([0.0, -2.0]))
         with pytest.raises(RuntimeError, match="failed to converge"):
