@@ -9,9 +9,10 @@ root of psi(gamma) = ln lambda.  The decay-rate function
 is strictly decreasing from +inf at 0 to 0 at infinity, equals 1 at exactly
 one point (the critical point), and controls the exponential growth or decay
 of the hyperplane integrals F_n.  Two independent routes compute it: the
-saddle equation (Newton on psi, about two psi calls from a closed-form start
-within 1.3e-9 of the root) and the convex conjugate of ln Gamma (its value at
-that start, certified by a bracket: three ln Gamma calls and no psi).
+saddle equation (a closed-form start within 1.3e-9 of the root and at most one
+Newton step, so at most two psi calls, under the one stop |psi(g) - ln lambda|
+< 1e-13 max(1, |ln lambda|/64)) and the convex conjugate of ln Gamma (its value
+at that start, certified by a bracket: three ln Gamma calls and no psi).
 They agree within 1e-14 (1 + |ln L|) wherever ln L is a finite double,
 lambda <= 2.5563481638717604e305, and both refuse above it.
 """
@@ -62,8 +63,8 @@ class CriticalPoint:
     residual: float
 
 
+# the stop test of both Newton routes is |psi(g) - y| < _NEWTON_TOL max(1, |y|/64)
 _NEWTON_TOL = 1e-13
-_NEWTON_CAP = 50
 # above ln(max float) ~ 709.78 the root, about e^y, is not a finite double
 _Y_MAX = math.log(sys.float_info.max)
 # below psi(1/sqrt(max float)) ~ -sqrt(max float) the root, about -1/y, is below
@@ -137,86 +138,68 @@ def _initial_guess_array(y):
 def inverse_digamma(y):
     """The unique gamma > 0 with psi(gamma) = y; accepts scalars or arrays.
 
-    The one Newton policy of both routes.  It starts at ``_initial_guess``,
-    within 1.3e-9 of the root relative (three polynomials, in -1/(y + C) below
-    y = -3, in y up to -1/2 and in e^-y above), so that one step usually meets
-    the stop: at most 2 psi calls per root over lambda = e^y in [1e-8, 1e6].  A
-    bracket starts at (0, inf) and the residual signs narrow it; a step that
-    leaves it is replaced by the midpoint, or by twice the lower end while the
-    bracket has no upper end.  Stops at |psi(g) - y| < 1e-13; at the first
-    repeated iterate or the 50-step cap a root within 1e-12 max(1, |y|) is
-    accepted, since from y = -512 down an ulp of y exceeds 1e-13 (from
-    y ~ -1.5e4 down, 1e-12).  Raises ValueError for y outside
+    The closed-form start ``_initial_guess``, within 1.31e-9 of the root
+    relative (three polynomials, in -1/(y + C) below y = -3, in y up to -1/2
+    and in e^-y above), and at most one Newton step: the start is the root if
+    |psi(g0) - y| < tol(y), else g1 = g0 - (psi(g0) - y) / psi'(g0) is, if it
+    is finite, positive and meets the same stop, so at most 2 psi calls per
+    root.  tol(y) = 1e-13 max(1, |y|/64) is 1e-13 for lambda = e^y in
+    [1.6e-28, 6.2e27], and 7 to 14 ulp of y beyond |y| = 64, where psi of the
+    best double root can be an ulp or two of y off y, and an ulp of y exceeds
+    1e-13 from |y| = 512 on.  Raises ValueError for y outside
     [-sqrt(max float), ln(max float)] ~ [-1.34e154, 709.78], where the root or
-    psi' at it is not a finite double, and RuntimeError if the cap's tolerance
-    is not met, which would indicate a kernel bug.  Arrays go through
-    ``_inverse_digamma_array``: the start and one step, then this route for any
-    other root.  Its roots are this route's bit for bit, except where its psi
-    (np.log) and this one's (math.log) round apart at the start: 2 of 847 000
-    log-uniform lambda = e^y in [5e-324, 2.55e305], 1 and 6 ulp apart.
+    psi' at it is not a finite double, and RuntimeError where the step misses
+    the stop, which would indicate a kernel bug.  Arrays go through
+    ``_inverse_digamma_array``, the same two steps.
     """
     if not isinstance(y, (float, int)):
         return _inverse_digamma_array(y)[0]
     y = float(y)
     if not _Y_MIN <= y <= _Y_MAX:
         raise ValueError(f"{_DOMAIN}, got {y!r}")
+    tol = _NEWTON_TOL * max(1.0, abs(y) / 64.0)
     g = _initial_guess(y)
-    lo, hi = 0.0, math.inf
-    for k in range(_NEWTON_CAP + 1):
-        r = digamma(g) - y
-        if abs(r) < _NEWTON_TOL:
-            return g
-        if r > 0.0:
-            hi = min(hi, g)
-        else:
-            lo = max(lo, g)
-        g_new = g - r / trigamma(g)
-        if not (lo < g_new < hi):
-            g_new = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
-        # a repeated iterate never moves again
-        if g_new == g or k == _NEWTON_CAP:
-            break
-        g = g_new
-    if abs(r) < 1e-12 * max(1.0, abs(y)):
+    r = digamma(g) - y
+    if abs(r) < tol:
+        return g
+    g -= r / trigamma(g)
+    if 0.0 < g < math.inf and abs(digamma(g) - y) < tol:
         return g
     raise RuntimeError(f"inverse_digamma failed to converge at y={y!r}")
 
 
-# near y = 709.78, g ~ e^y ~ max float, the step r / psi1 can overflow: inf leaves the bracket
-@np.errstate(over="ignore")
 def _inverse_digamma_array(y):
     """inverse_digamma over an array, with psi' at each root: (gamma, sigma).
 
-    The scalar route's start (``_initial_guess_array``, with its bits) and its
-    first Newton step, in two psi and psi' passes: at the start, and at the step
-    of each root whose start misses the stop.  A root is accepted by the scalar
-    route's stop test, with its pass's psi' as sigma.  Any other root, whose
-    step leaves the bracket of its first residual or misses the stop (none over
-    lambda = e^y in [1e-8, 1e6]), is the scalar ``inverse_digamma``'s, with
-    trigamma's sigma: the bracket, fallback, cap and RuntimeError live there.
-    A 0-d y gives two floats.
+    The scalar route's start (``_initial_guess_array``, with its bits), Newton
+    step and stop test, in two fused psi and psi' passes: at the start, and at
+    the step of each root whose start misses the stop.  sigma is the psi' of
+    the pass that accepted the root.  A step that is not finite and positive
+    or misses the stop raises the scalar route's RuntimeError.  A 0-d y gives
+    two floats.
     """
     arr = np.asarray(y, dtype=float)
     bad = ~((arr >= _Y_MIN) & (arr <= _Y_MAX))
     if bad.any():
         raise ValueError(f"{_DOMAIN}, got {float(arr[bad].flat[0])!r}")
     yv = arr.reshape(-1)
+    tol = _NEWTON_TOL * np.maximum(1.0, np.abs(yv) / 64.0)
     g = _initial_guess_array(yv)
     psi, sigma = _digamma_trigamma_array(g)
     r = psi - yv
-    miss = (np.abs(r) >= _NEWTON_TOL).nonzero()[0]
+    miss = (np.abs(r) >= tol).nonzero()[0]
     if miss.size:
-        g0, above = g[miss], r[miss] > 0.0
+        g0 = g[miss]
         g1 = g0 - r[miss] / sigma[miss]
-        # the scalar route's bracket after one residual: (0, g0) above the
-        # root, (g0, inf) below; a step that leaves it is not evaluated
-        inside = (np.where(above, 0.0, g0) < g1) & (g1 < np.where(above, g0, np.inf))
-        psi, psi1 = _digamma_trigamma_array(np.where(inside, g1, g0))
-        done = inside & (np.abs(psi - yv[miss]) < _NEWTON_TOL)
-        g[miss[done]], sigma[miss[done]] = g1[done], psi1[done]
-        for i in miss[~done].tolist():
-            g[i] = root = inverse_digamma(float(yv[i]))
-            sigma[i] = trigamma(root)
+        # the pass takes finite positive arguments only: a step that is not
+        # one is evaluated at its start and fails below
+        step = (g1 > 0.0) & (g1 < math.inf)
+        psi, psi1 = _digamma_trigamma_array(np.where(step, g1, g0))
+        done = step & (np.abs(psi - yv[miss]) < tol[miss])
+        if not done.all():
+            y_bad = float(yv[miss[~done][0]])
+            raise RuntimeError(f"inverse_digamma failed to converge at y={y_bad!r}")
+        g[miss], sigma[miss] = g1, psi1
     if arr.ndim == 0:
         return float(g[0]), float(sigma[0])
     return g.reshape(arr.shape), sigma.reshape(arr.shape)
@@ -327,8 +310,19 @@ def critical_point() -> CriticalPoint:
     )
 
 
-# over as for _inverse_digamma_array; where ln Gamma overflows ln L is
-# inf - inf, refused below
+def _grid_point(v) -> float:
+    """float(v) of a tabulate grid point; a point that is no real number is
+    refused as a lambda: float() reads a bool, a str or bytes, and cannot read a
+    list, a complex, None or a row of a 2-D array."""
+    if not isinstance(v, _NOT_REAL):
+        try:
+            return float(v)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"lambda must be a finite positive real, got {v!r}")
+
+
+# where ln Gamma overflows ln L is inf - inf, refused below
 @np.errstate(over="ignore", invalid="ignore")
 def tabulate(lambda_grid) -> list[SaddleSolution]:
     """Saddle solutions over a strictly increasing positive grid.
@@ -336,23 +330,24 @@ def tabulate(lambda_grid) -> list[SaddleSolution]:
     The gamma column is strictly increasing and the ln_L column strictly
     decreasing; evaluation is independent per point, so the output does not
     depend on evaluation order.  ``_inverse_digamma_array`` gives the gamma
-    and sigma columns (two psi and psi' passes), one ``ln_gamma`` array call
-    ln L.  Rows equal ``solve_saddle``'s in gamma and sigma bit for bit, except
-    at the rare lambda where the array psi and the scalar one round apart (see
-    ``inverse_digamma``), and in ln L within 2 ulp of max(1, |ln Gamma(gamma)|),
-    the gap between ``ln_gamma``'s np.log and math.log paths; ln L crosses zero
-    at lambda_cr, so no relative bound holds.  Raises ValueError for a grid
-    point that is a bool, a str or bytes, or not finite and positive, for a
-    grid that does not increase, and naming the first grid point where ln L is
-    not a finite double.
+    and sigma columns (the start and at most one Newton step of
+    ``inverse_digamma``, in two psi and psi' passes), one ``ln_gamma`` array
+    call ln L.  Rows equal ``solve_saddle``'s in gamma and sigma bit for bit,
+    except at the rare lambda where the array psi (np.log) and the scalar one
+    (math.log) round apart at the start, which moves the step: 2 of 843 498
+    log-uniform lambda in [5e-324, 2.55e305], 1 and 6 ulp apart.  ln L is
+    within 2 ulp of max(1, |ln Gamma(gamma)|) of ``solve_saddle``'s, the gap
+    between ``ln_gamma``'s np.log and math.log paths; ln L crosses zero at
+    lambda_cr, so no relative bound holds.  Raises ValueError for a grid point
+    that is no real number (a bool, a str or bytes, a list, a complex, None)
+    or not finite and positive, for a grid that does not increase, and naming
+    the first grid point where ln L is not a finite double.
     """
+    # the points of bytes are ints
+    if isinstance(lambda_grid, bytes):
+        raise ValueError(f"lambda must be a finite positive real, got {lambda_grid!r}")
     points = lambda_grid if isinstance(lambda_grid, list) else list(lambda_grid)
-    # float() reads a bool, a str or bytes; one test per type, not per point
-    kinds = set(map(type, points))
-    if isinstance(lambda_grid, _NOT_REAL) or any(issubclass(t, _NOT_REAL) for t in kinds):
-        bad = next((v for v in points if isinstance(v, _NOT_REAL)), lambda_grid)
-        raise ValueError(f"lambda must be a finite positive real, got {bad!r}")
-    grid = points if kinds <= {float} else [float(v) for v in points]
+    grid = points if set(map(type, points)) <= {float} else list(map(_grid_point, points))
     arr = np.array(grid)
     if not (np.isfinite(arr) & (arr > 0.0)).all():
         raise ValueError("tabulate requires positive grid points")

@@ -6,10 +6,10 @@ refused as "<name> must be a finite positive real, got <value>"; a real of
 either sign (the schedule's alpha) as "<name> must be a finite real, got
 <value>"; an integer (n, an n_grid entry, samples, seed) as "<caller> requires
 integer <name> >= <minimum>, got <name> = <value>".  A tabulate grid point that
-is a bool, a str or bytes is refused as a lambda, naming the point (a bytes
-grid whole).  A lambda above the largest
-at which ln L is a finite double is refused by every ln L route with
-solve_saddle's one message.  A dual vector f that is no tuple, list or array
+is no real number (a bool, a str or bytes, a list, a complex, None, a row of a
+2-D array) is refused as a lambda, naming the point (a bytes grid whole).  A
+lambda above the largest at which ln L is a finite double is refused by every
+ln L route with solve_saddle's one message.  A dual vector f that is no tuple, list or array
 of reals is refused as "all entries of f must be finite positive reals", and
 weights that are no tuple, list or array of reals as "weights must be finite,
 got <weights>".
@@ -91,11 +91,14 @@ BAD_ARRAYS += [[True, 2.0], (2.0, True), [np.True_, 2.0], (np.True_, 2.0), [[2.0
 
 # (grid, the point named): tabulate read a bool, a str or bytes as a grid point,
 # tabulate([True, 2.0]) had a row at lambda = 1.0 and tabulate(b"12") rows at
-# 49.0 and 50.0; a bytes grid, whose points are ints, is named whole
+# 49.0 and 50.0; a bytes grid, whose points are ints, is named whole.  A list, a
+# complex, None or a row of a 2-D array met a bare TypeError from float()
 BAD_GRIDS = [([True, 2.0], True), ((0.5, np.True_), np.True_), (["0.5", "1.0"], "0.5"),
              ([0.5, b"1"], b"1"), ([np.str_("1.0")], np.str_("1.0")), ("12", "1"),
              (b"12", b"12"), (np.array([True, False]), np.True_),
-             (np.array(["0.5", "1.0"]), np.str_("0.5"))]
+             (np.array(["0.5", "1.0"]), np.str_("0.5")),
+             ([[0.5], [1.0]], [0.5]), ([1.0 + 0j, 2.0], 1.0 + 0j), ([0.5, None], None),
+             (np.ones((2, 2)), np.ones(2))]
 
 # every ln L route refuses where ln L is not a finite double with solve_saddle's
 # message (ln L was nan); the Legendre route's scan stopped at 2^79 and raised

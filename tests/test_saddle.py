@@ -53,23 +53,12 @@ TABULATE_PINNED = [
 ]
 
 # the 15 of 20 000 lam = exp(U(ln 1e-320, ln 1e305)) (default_rng(99)) at which
-# Newton ran to its 50-step cap, with the root it returned there and psi' at it
+# a Newton loop under the absolute stop |psi(g) - y| < 1e-13 ran to its 50-step cap
 REPEATED_ITERATE = [
-    (1.744163723899828e-280, "0x1.97503a386d996p-10", "0x1.94815c9978acep+18"),
-    (3.484969027e-314, "0x1.6b7d2d137bd8ap-10", "0x1.fbec8f47a013ap+18"),
-    (1.043919070549343e-306, "0x1.7460b928d921ep-10", "0x1.e3f6f7da6f4f1p+18"),
-    (8.956e-320, "0x1.651d81351796cp-10", "0x1.071bb440a9232p+19"),
-    (6.692171209086888e-234, "0x1.e8c61c1998b22p-10", "0x1.18e8d44820efdp+18"),
-    (7.407786038668901e-298, "0x1.7f7ac966bbf16p-10", "0x1.c859433a82b84p+18"),
-    (1.422180262626685e-269, "0x1.a7dc1c7db75c0p-10", "0x1.758a465df5abep+18"),
-    (2.17863e-319, "0x1.658c5a4064decp-10", "0x1.0678aa2a801e9p+19"),
-    (1.51787719112638e-273, "0x1.a1af00717504ap-10", "0x1.80ab2fde90583p+18"),
-    (5.174807599278336e-280, "0x1.9800b8b5fddcap-10", "0x1.9323b24bfca8ap+18"),
-    (6.89023159908986e-301, "0x1.7b9a7fa0aef04p-10", "0x1.d1b73ca372ed2p+18"),
-    (2.0947796562897123e-233, "0x1.e9d0e4e4537d0p-10", "0x1.17b727a2d366bp+18"),
-    (1.63707e-318, "0x1.6688d5108b5f4p-10", "0x1.0507828f7497ep+19"),
-    (1.4125e-320, "0x1.64380fcdebe3ap-10", "0x1.086f11a4abe78p+19"),
-    (1.0960569713005e-311, "0x1.6e692d9532318p-10", "0x1.f3db0d5f28093p+18"),
+    1.744163723899828e-280, 3.484969027e-314, 1.043919070549343e-306, 8.956e-320,
+    6.692171209086888e-234, 7.407786038668901e-298, 1.422180262626685e-269, 2.17863e-319,
+    1.51787719112638e-273, 5.174807599278336e-280, 6.89023159908986e-301,
+    2.0947796562897123e-233, 1.63707e-318, 1.4125e-320, 1.0960569713005e-311,
 ]
 
 
@@ -121,6 +110,53 @@ class TestInverseDigamma:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             inverse_digamma(math.nan)
+
+    def test_both_routes_take_at_most_one_newton_step(self, monkeypatch):
+        # the start, within 1.31e-9 of the root, or one Newton step from it meets
+        # the stop over the whole domain: |y| log-uniform on the left, y uniform
+        # on the right, the lambda at which Newton under an absolute 1e-13 stop
+        # ran to its cap, and |y| just below 128, 256 and 512, where an ulp of y
+        # halves and a stop of 8 ulp of y missed (at 79 of 2e4 y in [-128,
+        # -127.872])
+        rng = np.random.default_rng(38)
+        ys = np.concatenate([
+            -10.0 ** rng.uniform(0.0, math.log10(-_Y_MIN), 100_000),
+            rng.uniform(-1.0, _Y_MAX, 100_000),
+            [math.log(lam) for lam in REPEATED_ITERATE], [_Y_MIN, _Y_MAX],
+            *(sign * rng.uniform(0.999 * edge, edge, 2000)
+              for edge in (128.0, 256.0, 512.0) for sign in (1.0, -1.0)),
+        ])
+        tol = _tol(ys)
+        passes = []
+
+        def counting_passes(x):
+            passes.append(x.size)
+            return _digamma_trigamma_array(x)
+
+        def forbidden(x):
+            raise AssertionError("the array route makes a scalar call")
+
+        with monkeypatch.context() as m:
+            m.setattr(hslaplace.saddle, "_digamma_trigamma_array", counting_passes)
+            m.setattr(hslaplace.saddle, "inverse_digamma", forbidden)
+            m.setattr(hslaplace.saddle, "trigamma", forbidden)
+            gamma, sigma = _inverse_digamma_array(ys)
+        assert len(passes) == 2
+        psi, psi1 = _digamma_trigamma_array(gamma)
+        assert (np.abs(psi - ys) < tol).all()
+        assert np.array_equal(sigma, psi1)
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return digamma(x)
+
+        monkeypatch.setattr(hslaplace.saddle, "digamma", counting)
+        for y, t, g in zip(ys.tolist(), tol.tolist(), gamma.tolist()):
+            calls.clear()
+            root = inverse_digamma(y)
+            assert len(calls) <= 2 and abs(digamma(root) - y) < t, y
+            assert root == g or _psi_rounds_apart(y), y
 
 
 class TestNewtonStart:
@@ -196,34 +232,6 @@ class TestSolveSaddle:
             solve_saddle(lam)
             counts[lam] = len(calls)
         assert max(counts.values()) <= 2, counts
-
-    def test_stops_at_its_first_repeated_iterate(self, monkeypatch):
-        # from y = -512 down an ulp of y exceeds the 1e-13 stop; at these lam the
-        # bracket closed on two adjacent doubles, the iterate repeated by step 6,
-        # and Newton ran on to its 50-step cap (51 psi calls) for the same root
-        calls = []
-
-        def counting(x):
-            calls.append(x)
-            return digamma(x)
-
-        monkeypatch.setattr(hslaplace.saddle, "digamma", counting)
-        for lam, gamma, _ in REPEATED_ITERATE:
-            calls.clear()
-            assert inverse_digamma(math.log(lam)).hex() == gamma
-            assert len(calls) <= 7, lam
-        passes = []
-
-        def counting_passes(x):
-            passes.append(x)
-            return _digamma_trigamma_array(x)
-
-        monkeypatch.setattr(hslaplace.saddle, "_digamma_trigamma_array", counting_passes)
-        gamma, sigma = _inverse_digamma_array(np.array([math.log(v) for v, *_ in REPEATED_ITERATE]))
-        assert [(g.hex(), s.hex()) for g, s in zip(gamma.tolist(), sigma.tolist())] == [
-            (g, s) for _, g, s in REPEATED_ITERATE]
-        # the array route's start and one step; the scalar route finishes these roots
-        assert len(passes) == 2
 
     def test_largest_finite_ln_l(self):
         sol = solve_saddle(2.5e305)
@@ -329,10 +337,14 @@ class TestLegendreRoute:
 
     @pytest.mark.parametrize("miss", [1e-3, -1e-3])
     def test_the_walk_brackets_a_start_that_misses(self, monkeypatch, ln_gamma_calls, miss):
-        # the walk runs at no lam from the true start, so the start is moved
+        # the walk runs at no lam from the true start, so the start is moved;
+        # Newton's one step cannot reach the root from there, so the saddle
+        # route's references come first
+        lams = (1e-300, 1e-8, 0.5, 1.0, 30.0, 1e6, 1e100, 1e300)
+        refs = [L_value(lam).ln_value for lam in lams]
         start = hslaplace.saddle._initial_guess
         monkeypatch.setattr(hslaplace.saddle, "_initial_guess", lambda y: start(y) * (1.0 + miss))
-        for lam in (1e-300, 1e-8, 0.5, 1.0, 30.0, 1e6, 1e100, 1e300):
+        for lam, ref in zip(lams, refs):
             ln_gamma_calls.clear()
             x, fx = _legendre_argmin(lam)
             assert len(ln_gamma_calls) > 3, lam
@@ -344,7 +356,6 @@ class TestLegendreRoute:
             # by convexity phi on (a, b) lies above the lines through (a, x) and
             # (x, b), so min phi is at least fx less the larger of these gaps
             gap = max((fa - fx) * (b - x) / (x - a), (fb - fx) * (x - a) / (b - x))
-            ref = L_value(lam).ln_value
             eps = 1e-14 * (1.0 + abs(ref))
             assert fx - gap - eps <= ref <= fx + eps, lam
 
@@ -458,9 +469,8 @@ class TestTabulate:
 
     @pytest.mark.parametrize("size", [1, 2, 257, 2000])
     def test_columns_are_the_kernels_bit_for_bit(self, size):
-        # sigma is the psi' of the array pass that accepted gamma, or trigamma's
-        # where the scalar route finished the root; it must be trigamma(gamma)
-        # in every bit, as ln L must be ln_gamma's
+        # sigma is the psi' of the array pass that accepted gamma; it must be
+        # trigamma(gamma) in every bit, as ln L must be ln_gamma's
         rng = np.random.default_rng(size)
         grids = [np.unique(10.0 ** rng.uniform(-320.0, 305.0, size)), np.logspace(-8, 6, 200)]
         for grid in grids:
@@ -472,14 +482,6 @@ class TestTabulate:
                     zip(gamma.tolist(), ln_l.tolist(), trigamma(gamma).tolist())]
             got = [(r.gamma.hex(), r.ln_L.hex(), r.sigma.hex()) for r in rows]
             assert got == want
-
-    def test_sigma_of_roots_accepted_at_the_cap(self, monkeypatch):
-        # with no residual below the stopping tolerance the array route accepts
-        # no root, and the scalar route takes each at a repeated iterate or the
-        # cap, within 1e-12, with trigamma's sigma
-        monkeypatch.setattr(hslaplace.saddle, "_NEWTON_TOL", 0.0)
-        rows = tabulate(np.logspace(-300, 300, 50))
-        assert [r.sigma.hex() for r in rows] == [trigamma(r.gamma).hex() for r in rows]
 
 
 class TestSaddleSolution:
@@ -527,26 +529,28 @@ class TestLargeLambdaAbscissa:
             assert abs(g - lam - 0.5) < 1.0 / lam
 
 
+def _tol(y):
+    """The stop test of both Newton routes: |psi(g) - y| < _tol(y)."""
+    return hslaplace.saddle._NEWTON_TOL * np.maximum(1.0, np.abs(y) / 64.0)
+
+
 def _psi_rounds_apart(y):
     """Whether the array pass and scalar digamma give psi different bits (their
-    logs are np.log and math.log) at some iterate of the scalar Newton path of y."""
+    logs are np.log and math.log) at the start or the one Newton step of y."""
     g = _initial_guess(y)
-    for _ in range(hslaplace.saddle._NEWTON_CAP + 1):
+    for _ in range(2):
         psi = digamma(g)
         if psi != _digamma_trigamma_array(np.array([g]))[0][0]:
             return True
-        if abs(psi - y) < hslaplace.saddle._NEWTON_TOL:
+        if abs(psi - y) < _tol(y):
             return False
-        g_new = g - (psi - y) / trigamma(g)
-        if g_new == g:
-            return False
-        g = g_new
+        g -= (psi - y) / trigamma(g)
     return False
 
 
 def _assert_equals_scalar_root(g, y):
     """The array route's root g of psi = y is the scalar route's bit for bit,
-    unless np.log and math.log round psi apart on the Newton path (2 of 847 000
+    unless np.log and math.log round psi apart on the Newton path (2 of 843 498
     log-uniform lambda), where the two differ by a few ulp: 1e-13 relative."""
     ref = inverse_digamma(y)
     if g != ref:
@@ -585,40 +589,18 @@ class TestArrayRoute:
     @pytest.mark.parametrize("lam, ulps", [
         (1.3459128530601215e-33, 1), (734.9435067157841, 6), (2.4567423495242374e-197, 0)])
     def test_routes_part_only_where_psi_rounds_apart(self, lam, ulps):
-        # the only two lambda of 847 000 log-uniform ones in [5e-324, 2.55e305]
-        # (exp of default_rng(seed).uniform(ln 5e-324, ln 2.55e305, size) at
-        # seeds 1, 2 and 35, sizes 500 000, 300 000 and 47 000) where the
-        # routes' gamma differ: np.log and math.log round the log in psi apart
-        # at the start, which moves the step.  At 2.4567423495242374e-197 they
-        # round apart too, but the scalar route gives that root to both
+        # the only two lambda of 843 498 distinct log-uniform ones in [5e-324,
+        # 2.55e305] (exp of default_rng(seed).uniform(ln 5e-324, ln 2.55e305,
+        # size) at seeds 1, 2 and 35, sizes 500 000, 300 000 and 47 000) where
+        # the routes' gamma differ: np.log and math.log round the log in psi
+        # apart at the start, which moves the step.  At 2.4567423495242374e-197
+        # they round apart at the step, whose psi only meets the stop, so the
+        # two roots are the same step
         (row,) = tabulate([lam])
         ref = solve_saddle(lam)
         assert _psi_rounds_apart(math.log(lam))
         assert abs(row.gamma - ref.gamma) == ulps * math.ulp(ref.gamma)
         _assert_matches_scalar_route([row])
-
-    def test_roots_the_scalar_route_finishes_are_its_own(self, monkeypatch):
-        # from lambda ~ 1e-222 down an ulp of y = ln lambda exceeds the stop and
-        # psi is steep, so a root whose one step does not hit psi = y exactly
-        # goes to the scalar route; above 1e222 psi is flat and one step
-        # almost always does
-        finished = []
-
-        def counting(y):
-            if isinstance(y, float):
-                finished.append(y)
-            return inverse_digamma(y)
-
-        rng = np.random.default_rng(11)
-        for lo, hi in ((-300.0, -222.0), (222.0, math.log10(2.5e305))):
-            grid = np.unique(10.0 ** rng.uniform(lo, hi, 300))
-            with monkeypatch.context() as m:
-                m.setattr(hslaplace.saddle, "inverse_digamma", counting)
-                rows = tabulate(grid)
-            want = [solve_saddle(v) for v in grid.tolist()]
-            assert [(r.gamma.hex(), r.sigma.hex()) for r in rows] == [
-                (w.gamma.hex(), w.sigma.hex()) for w in want]
-        assert len(finished) > 50
 
     def test_seeded_grids_across_the_range(self):
         rng = np.random.default_rng(5)
@@ -688,15 +670,12 @@ class TestArrayRoute:
             assert abs(digamma(g) - y) <= 1e-12 * max(1.0, abs(y))
 
     def test_non_convergence_raises(self, monkeypatch):
-        # with no Newton step the start alone, 1e-9 off the root, must pass the
-        # cap's tolerance; one step (the cap of 1 this test used) now meets it
-        monkeypatch.setattr(hslaplace.saddle, "_NEWTON_CAP", 0)
-        with pytest.raises(RuntimeError, match="failed to converge"):
-            inverse_digamma(-2.0)
-        # the array route takes its one step whatever the cap and gives the
-        # scalar route only the roots that step leaves: with no stop, all
+        # a stop that no residual meets: the step misses it on both routes, and
+        # the array route names the first y it missed at
         monkeypatch.setattr(hslaplace.saddle, "_NEWTON_TOL", 0.0)
-        with pytest.raises(RuntimeError, match="failed to converge"):
+        with pytest.raises(RuntimeError, match=r"failed to converge at y=-2\.0$"):
+            inverse_digamma(-2.0)
+        with pytest.raises(RuntimeError, match=r"failed to converge at y=0\.0$"):
             inverse_digamma(np.array([0.0, -2.0]))
         with pytest.raises(RuntimeError, match="failed to converge"):
             tabulate([0.5, 1.0])
