@@ -30,8 +30,8 @@ import numpy as np
 
 from .logvalue import LogValue
 from .specfun import (
-    _NOT_REAL, _TRIGAMMA_MIN, EULER_GAMMA, _digamma_trigamma_array, _horner, _positive, digamma,
-    ln_gamma, trigamma,
+    _NOT_REAL, _TRIGAMMA_MIN, EULER_GAMMA, _digamma_trigamma_array, _finite, _horner, _positive,
+    _real, _real_array, digamma, ln_gamma, trigamma,
 )
 
 
@@ -148,15 +148,20 @@ def inverse_digamma(y):
     best double root can be an ulp or two of y off y, and an ulp of y exceeds
     1e-13 from |y| = 512 on.  Raises ValueError for y outside
     [-sqrt(max float), ln(max float)] ~ [-1.34e154, 709.78], where the root or
-    psi' at it is not a finite double, and RuntimeError where the step misses
-    the stop, which would indicate a kernel bug.  Arrays go through
-    ``_inverse_digamma_array``, the same two steps.
+    psi' at it is not a finite double, for a y that is no finite real (nan, a
+    bool, a str or bytes, or an array or a sequence that holds one), and
+    RuntimeError where the step misses the stop, which would indicate a kernel
+    bug.  Arrays go through ``_inverse_digamma_array``, the same two steps.
     """
     if not isinstance(y, (float, int)):
         return _inverse_digamma_array(y)[0]
-    y = float(y)
-    if not _Y_MIN <= y <= _Y_MAX:
-        raise ValueError(f"{_DOMAIN}, got {y!r}")
+    # an exact float skips the type test, as in _positive
+    yf = y if type(y) is float else _real(y)
+    if not _Y_MIN <= yf <= _Y_MAX:
+        if math.isnan(yf):  # nan, a bool or an int past max float: no finite real
+            _finite(y, "y")
+        raise ValueError(f"{_DOMAIN}, got {yf!r}")
+    y = yf
     tol = _NEWTON_TOL * max(1.0, abs(y) / 64.0)
     g = _initial_guess(y)
     r = digamma(g) - y
@@ -178,7 +183,7 @@ def _inverse_digamma_array(y):
     or misses the stop raises the scalar route's RuntimeError.  A 0-d y gives
     two floats.
     """
-    arr = np.asarray(y, dtype=float)
+    arr = _real_array(y, "y", "finite real")
     bad = ~((arr >= _Y_MIN) & (arr <= _Y_MAX))
     if bad.any():
         raise ValueError(f"{_DOMAIN}, got {float(arr[bad].flat[0])!r}")
@@ -338,15 +343,19 @@ def tabulate(lambda_grid) -> list[SaddleSolution]:
     log-uniform lambda in [5e-324, 2.55e305], 1 and 6 ulp apart.  ln L is
     within 2 ulp of max(1, |ln Gamma(gamma)|) of ``solve_saddle``'s, the gap
     between ``ln_gamma``'s np.log and math.log paths; ln L crosses zero at
-    lambda_cr, so no relative bound holds.  Raises ValueError for a grid point
-    that is no real number (a bool, a str or bytes, a list, a complex, None)
-    or not finite and positive, for a grid that does not increase, and naming
-    the first grid point where ln L is not a finite double.
+    lambda_cr, so no relative bound holds.  Raises ValueError for a grid that is
+    no iterable, for a grid point that is no real number (a bool, a str or
+    bytes, a list, a complex, None) or not finite and positive, for a grid that
+    does not increase, and naming the first grid point where ln L is not a
+    finite double.
     """
     # the points of bytes are ints
     if isinstance(lambda_grid, bytes):
         raise ValueError(f"lambda must be a finite positive real, got {lambda_grid!r}")
-    points = lambda_grid if isinstance(lambda_grid, list) else list(lambda_grid)
+    try:
+        points = lambda_grid if isinstance(lambda_grid, list) else list(lambda_grid)
+    except TypeError:
+        raise ValueError(f"tabulate requires an iterable grid, got {lambda_grid!r}") from None
     grid = points if set(map(type, points)) <= {float} else list(map(_grid_point, points))
     arr = np.array(grid)
     if not (np.isfinite(arr) & (arr > 0.0)).all():

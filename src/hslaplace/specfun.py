@@ -1,10 +1,11 @@
 """Special-function kernel: ln Gamma (real and complex), digamma, trigamma, K0.
 
 ``ln_gamma`` is the Taylor series of ln Gamma(2 + z), |z| <= 1/2, with the
-recurrence below 10, and Stirling's series from 10 up.  psi, psi', the private
-psi'' to psi^(5) loop and the complex ln Gamma shift the argument up by the
-recurrence until it is >= 10, then sum an asymptotic series from one table of
-Bernoulli numbers.  No reflection formula is needed on the positive axis (the
+recurrence below 10, and Stirling's series from 10 up.  psi, psi' and the
+private psi'' to psi^(5) loop shift the argument up by the recurrence until it
+is >= 10, then sum an asymptotic series from one table of Bernoulli numbers;
+the array forms of psi and psi' are one pass, ``_digamma_trigamma_array``,
+that gives both.  No reflection formula is needed on the positive axis (the
 right half plane for the complex case), which is all this package ever needs.
 
 Accuracy: ``ln_gamma`` is within 2.3e-16 max(1, |ln Gamma|) of mpmath on
@@ -18,7 +19,8 @@ The contour route needs no complex log: ``_ln_gamma_line`` gives
 D(t) = ln Gamma(gamma + it) - ln Gamma(gamma) - it psi(gamma) for real t from
 the same shift and Bernoulli table, in real arithmetic (log1p, arctan), with
 every sum formed so that it vanishes at t = 0; it is within 8.3e-16 of D
-relative.
+relative.  ``ln_gamma_complex``, which no route calls, is ln Gamma(x) +
+iy psi(x) + D(y) from these kernels.
 
 K0 is evaluated in log form from its cosh integral representation by a
 symmetric trapezoid rule, which converges geometrically because the
@@ -39,9 +41,9 @@ EULER_GAMMA = 0.5772156649015329
 
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 _SHIFT = 10.0
-# columns per shift block: 11 rows of 2^11 complex is 360 KB, and the term block
-# of 10 rows of two real series or one complex series 328 KB, so that the z
-# block, the term block and its zeroed copy fit in a 2 MiB L2 cache
+# columns per shift block: 11 rows of 2^11 reals is 180 KB, and the term block of
+# 10 rows of the psi and psi' terms 328 KB, so that the z block, the term block
+# and its zeroed copy fit in a 2 MiB L2 cache
 _BLOCK_COLUMNS = 1 << 11
 # below 1/sqrt(max float) psi'(x) ~ 1/x^2 is not a finite double
 _TRIGAMMA_MIN = 1.0 / math.sqrt(sys.float_info.max)
@@ -62,17 +64,22 @@ _BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6)
 )
 
 
-def _as_positive_array(x, name):
-    # a str, bytes or bool, or an array or a sequence that holds one, is refused
-    # before np.asarray(x, dtype=float) reads it as a number: np.asarray([True,
+def _real_array(x, name, kind):
+    """np.asarray(x, dtype=float), refusing as "<name> must be a <kind>, got <x>"
+    a str, bytes or bool, or an array or a sequence that holds one."""
+    # np.asarray(x, dtype=float) reads them as numbers, and np.asarray([True,
     # 2.0]) is already a float array, so a sequence is read entry by entry
     if isinstance(x, np.ndarray) and x.dtype != object:
         not_real = x.dtype.kind in "bSU"
     else:
         not_real = any(isinstance(v, _NOT_REAL) for v in np.asarray(x, dtype=object).flat)
     if not_real:
-        raise ValueError(f"x must be a finite positive real, got {x!r}")
-    arr = np.asarray(x, dtype=float)
+        raise ValueError(f"{name} must be a {kind}, got {x!r}")
+    return np.asarray(x, dtype=float)
+
+
+def _as_positive_array(x, name):
+    arr = _real_array(x, "x", "finite positive real")
     if not np.isfinite(arr).all() or (arr <= 0.0).any():
         raise ValueError(f"{name} requires finite positive argument(s)")
     return arr
@@ -119,76 +126,42 @@ def _sum_down(a):
     return a
 
 
-def _series_array(z, *series):
-    """Shift and series shared by the array paths.
+def _digamma_trigamma_array(x):
+    """psi(x) and psi'(x) of an array x > 0, flat, from one shift-and-series pass.
 
-    Steps every element of the flattened copy of z up by one until
-    Re z >= _SHIFT and, for each (coeffs, term) pair in series, sums term(z)
-    over the steps and Horner-sums coeffs in w = 1/z^2.  Returns the shifted
-    z, w and one (series sum, shift sum) pair per entry of series, flat and
-    in the order of z.  term(z, out) writes into out, as a ufunc does.
+    Unchecked: the caller guarantees finite positive x.  Every element steps up
+    by one until it is >= _SHIFT, adding 1/z and 1/z^2 to its two shift sums,
+    and closes with the two Bernoulli series in w = 1/z^2.
 
-    Column i of a (steps + 1) x size block holds z_i over the steps 1.0 while
-    z_i still shifts, 0.0 after: summed down, row j is z_i + 1.0 + ... + 1.0
-    as in an element-by-element loop.  The terms of all S series go into one
-    steps x (S size) block, zeroed past z_i's steps and summed down once
-    (np.add.reduce would sum a single column pairwise); + 0.0 gives a -0.0 sum
-    the sign of 0.0 + ... has.
+    Column i of a (steps + 1) x size block holds x_i over the steps 1.0 while
+    x_i still shifts, 0.0 after: summed down, row j is x_i + 1.0 + ... + 1.0 as
+    in an element-by-element loop.  The 1/z and 1/z^2 terms go into one
+    steps x (2 size) block, zeroed past x_i's steps and summed down once
+    (np.add.reduce would sum a single column pairwise).
     """
-    z = z.reshape(-1).copy()
-    shifts = np.zeros((len(series), z.size), z.dtype)
-    # z * z overflows above |z| ~ 1.34e154, padded rows included (inf - inf = nan
-    # where Re z and |Im z| both do); there |w| < 5.6e-309 is below every last bit
-    with np.errstate(over="ignore", invalid="ignore"):
+    z = x.reshape(-1).copy()
+    shifts = np.zeros((2, z.size))
+    # below x ~ 7.5e-155, where only psi is asked for, 1/(z z) overflows or divides
+    # by a z z that underflowed to 0, and 1/z does below 5.6e-309; above ~1.34e154,
+    # padded rows included, z z overflows and 1/(z z) = 0 is below every last bit
+    with np.errstate(over="ignore", divide="ignore"):
         for lo in range(0, z.size, _BLOCK_COLUMNS):
             zc = z[lo:lo + _BLOCK_COLUMNS]
-            k = np.ceil(_SHIFT - zc.real)
+            k = np.ceil(_SHIFT - zc)
             active = np.arange(max(0.0, k.max()))[:, None] < k
             if not active.size:
                 continue
-            block = np.concatenate((zc[None], active))
-            # copied back only where z stepped: z + 0.0 turns Im z = -0.0 to +0.0
-            np.copyto(zc, _sum_down(block)[-1], where=active[0])
-            t = np.empty((len(active), len(series), zc.size), z.dtype)
-            for i, (_, term) in enumerate(series):
-                term(block[:-1], t[:, i])
+            block = _sum_down(np.concatenate((zc[None], active)))
+            zc[:] = block[-1]
+            zs = block[:-1]  # z_i before each step
+            t = np.empty((len(active), 2, zc.size))
+            np.divide(1.0, zs, out=t[:, 0])
+            np.divide(1.0, np.multiply(zs, zs, out=t[:, 1]), out=t[:, 1])
             t = np.where(active[:, None], t, 0.0).reshape(len(active), -1)
-            total = _sum_down(t)[-1].reshape(len(series), -1)
-            np.add(total, 0.0, out=shifts[:, lo:lo + _BLOCK_COLUMNS])
-        z2 = z * z
-        w = 1.0 / z2
-    w[~np.isfinite(z2)] = 0.0
-    sums = []
-    for (coeffs, _), shift in zip(series, shifts):
-        s = np.full_like(z, coeffs[-1])
-        for c in coeffs[-2::-1]:
-            s *= w
-            s += c
-        sums.append((s, shift))
-    return z, w, sums
-
-
-def _reciprocal(z, out=None):
-    return np.divide(1.0, z, out=out)
-
-
-def _reciprocal_square(z, out=None):
-    return np.divide(1.0, np.multiply(z, z, out=out), out=out)
-
-
-_DIGAMMA_SERIES = (_DIGAMMA_COEFF, _reciprocal)
-_TRIGAMMA_SERIES = (_TRIGAMMA_COEFF, _reciprocal_square)
-
-
-def _digamma_trigamma_array(x):
-    """psi(x) and psi'(x) of a 1-D array x > 0 from one shift-and-series pass.
-
-    Unchecked: the caller guarantees finite positive x.  Equal bit for bit to
-    digamma(x) and trigamma(x).
-    """
-    z, w, ((s1, shift1), (s2, shift2)) = _series_array(x, _DIGAMMA_SERIES, _TRIGAMMA_SERIES)
-    psi = np.log(z) - 0.5 / z - s1 * w - shift1
-    psi1 = 1.0 / z + 0.5 * w + s2 * w / z + shift2
+            shifts[:, lo:lo + _BLOCK_COLUMNS] = _sum_down(t)[-1].reshape(2, -1)
+        w = 1.0 / (z * z)
+    psi = np.log(z) - 0.5 / z - _horner(_DIGAMMA_COEFF, w) * w - shifts[0]
+    psi1 = 1.0 / z + 0.5 * w + _horner(_TRIGAMMA_COEFF, w) * w / z + shifts[1]
     return psi, psi1
 
 
@@ -287,8 +260,7 @@ def digamma(x):
             s = s * w + c
         return math.log(x) - 0.5 / x - s * w - shift
     arr = _as_positive_array(x, "digamma")
-    z, w, ((s, shift),) = _series_array(arr, _DIGAMMA_SERIES)
-    out = np.log(z) - 0.5 / z - s * w - shift
+    out = _digamma_trigamma_array(arr)[0]
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
@@ -311,8 +283,7 @@ def trigamma(x):
     arr = _as_positive_array(x, "trigamma")
     if (arr < _TRIGAMMA_MIN).any():
         raise ValueError(_TRIGAMMA_DOMAIN.format(float(arr[arr < _TRIGAMMA_MIN].flat[0])))
-    z, w, ((s, shift),) = _series_array(arr, _TRIGAMMA_SERIES)
-    out = 1.0 / z + 0.5 * w + s * w / z + shift
+    out = _digamma_trigamma_array(arr)[1]
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
@@ -347,33 +318,6 @@ def _psi2_to_psi5(x):
         shift4 - w * w * (6.0 + 12.0 / x + s4 * w),
         shift5 + w * w / x * (24.0 + 60.0 / x + s5 * w),
     )
-
-
-def ln_gamma_complex(z):
-    """Analytic ln Gamma(z) for Re z > 0; scalars or arrays.
-
-    Continuous along vertical lines gamma + i t (the shift recurrence never
-    crosses the negative real axis for Re z > 0) and equal to ln_gamma on
-    the real axis.  The imaginary part is unwrapped, so this is the
-    continuation of ln Gamma rather than the principal log of Gamma.  A lone
-    argument (0-d or one-element array) may differ in the last bit from the
-    same value inside a longer array, since numpy's complex loops round the
-    two differently: Re ln Gamma(1e300+1e300j) is 0x1.01554915dda3ep+1006
-    alone and 0x1.01554915dda3dp+1006 in an array.
-    """
-    arr = np.asarray(z, dtype=complex)
-    if not np.isfinite(arr).all() or (arr.real <= 0.0).any():
-        raise ValueError("ln_gamma_complex requires finite arguments with Re z > 0")
-    zz, _, ((s, shift),) = _series_array(arr, (_LNGAMMA_COEFF, np.log))
-    # (zz - 0.5) ln zz - zz + ln sqrt(2 pi) + s / zz - shift, left to right
-    out = zz - 0.5
-    out *= np.log(zz)
-    out -= zz
-    out += _HALF_LN_2PI
-    s /= zz
-    out += s
-    out -= shift
-    return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 # (arctan(x) - x) / x^3 as a polynomial in y = x^2 on [0, 1/16]: mpmath 1.3.0
@@ -475,6 +419,44 @@ def _ln_gamma_line(gamma: float, t):
         block.imag = im
         block -= poly
     return out
+
+
+def ln_gamma_complex(z):
+    """Analytic ln Gamma(z) for Re z > 0 and |Im z| <= 1e154 max(1, Re z);
+    scalars or arrays.
+
+    ln Gamma(x) + i y psi(x) + D_x(y) at z = x + iy: ``ln_gamma`` and
+    ``digamma`` at each distinct real part x and one call of the contour's D(t)
+    kernel ``_ln_gamma_line`` for all the y that share it.  Below x = 1, where
+    y psi(x) ~ -y/x would cancel against D, it is ln Gamma(z + 1) - ln z.
+    Continuous along vertical lines; the imaginary part is unwrapped, so this is
+    the continuation of ln Gamma rather than the principal log of Gamma.  An
+    element's value depends on it alone, so a lone argument equals the same
+    value inside any array.  Past the bound on |Im z| the kernel's (y/x)^2
+    overflows.  No route calls it: the contour calls ``_ln_gamma_line`` itself.
+    """
+    arr = np.asarray(z, dtype=complex)
+    if not (np.isfinite(arr).all() and (arr.real > 0.0).all()
+            and (np.abs(arr.imag) / np.maximum(1.0, arr.real) <= 1e154).all()):
+        raise ValueError("ln_gamma_complex requires finite arguments with Re z > 0 and "
+                         "|Im z| <= 1e154 max(1, Re z)")
+    flat = arr.reshape(-1)
+    y = flat.imag
+    small = flat.real < 1.0
+    x, part, count = np.unique(flat.real + small, return_inverse=True, return_counts=True)
+    d = np.empty_like(flat)
+    # the kernel's arctan series, used below |y/x| = 1/4 only, overflows past ~2e16;
+    # a lone y goes in twice, since np.sum would add its shift terms pairwise
+    with np.errstate(over="ignore"):
+        for xi, at in zip(x.tolist(), np.split(np.argsort(part), np.cumsum(count)[:-1])):
+            d[at] = _ln_gamma_line(xi, np.resize(y[at], max(2, at.size)))[:at.size]
+    out = np.empty_like(flat)
+    out.real = ln_gamma(x)[part] + d.real
+    out.imag = y * digamma(x)[part] + d.imag
+    zs = flat[small]
+    out.real[small] -= np.log(np.hypot(zs.real, zs.imag))
+    out.imag[small] -= np.arctan2(zs.imag, zs.real)
+    return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def bessel_k0(x: float) -> LogValue:

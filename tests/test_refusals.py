@@ -3,16 +3,17 @@ each kind of argument it takes, raises ValueError with that kind's one message.
 
 A positive real (lambda, x, r, theta, epsilon, the schedule's c, tol) is
 refused as "<name> must be a finite positive real, got <value>"; a real of
-either sign (the schedule's alpha) as "<name> must be a finite real, got
-<value>"; an integer (n, an n_grid entry, samples, seed) as "<caller> requires
-integer <name> >= <minimum>, got <name> = <value>".  A tabulate grid point that
-is no real number (a bool, a str or bytes, a list, a complex, None, a row of a
-2-D array) is refused as a lambda, naming the point (a bytes grid whole).  A
-lambda above the largest at which ln L is a finite double is refused by every
-ln L route with solve_saddle's one message.  A dual vector f that is no tuple, list or array
-of reals is refused as "all entries of f must be finite positive reals", and
-weights that are no tuple, list or array of reals as "weights must be finite,
-got <weights>".
+either sign (the schedule's alpha, inverse_digamma's y) as "<name> must be a
+finite real, got <value>"; an integer (n, an n_grid entry, samples, seed) as
+"<caller> requires integer <name> >= <minimum>, got <name> = <value>".  A
+tabulate grid point that is no real number (a bool, a str or bytes, a list, a
+complex, None, a row of a 2-D array) is refused as a lambda, naming the point (a
+bytes grid whole), and a grid that is no iterable (a float, None) as "tabulate
+requires an iterable grid, got <grid>".  A lambda above the largest at which ln
+L is a finite double is refused by every ln L route with solve_saddle's one
+message.  A dual vector f that is no tuple, list or array of reals is refused as
+"all entries of f must be finite positive reals", and weights that are no tuple,
+list or array of reals as "weights must be finite, got <weights>".
 """
 
 import math
@@ -41,6 +42,7 @@ from hslaplace import (
     fn_quadrature,
     fn_saddle_asymptotic,
     geometric_mean,
+    inverse_digamma,
     laplace_dn,
     ln_gamma,
     solve_saddle,
@@ -99,6 +101,8 @@ BAD_GRIDS = [([True, 2.0], True), ((0.5, np.True_), np.True_), (["0.5", "1.0"], 
              (np.array(["0.5", "1.0"]), np.str_("0.5")),
              ([[0.5], [1.0]], [0.5]), ([1.0 + 0j, 2.0], 1.0 + 0j), ([0.5, None], None),
              (np.ones((2, 2)), np.ones(2))]
+# a grid that is no iterable met a bare TypeError from list()
+BAD_GRID_CONTAINERS = [5.0, None]
 
 # every ln L route refuses where ln L is not a finite double with solve_saddle's
 # message (ln L was nan); the Legendre route's scan stopped at 2^79 and raised
@@ -115,6 +119,11 @@ FINITE = [
      lambda v: ensemble_comparison(F, 1.0, (1.0, v), (2, 3), 0.05)),
 ]
 BAD_FINITE = [math.nan, math.inf, -math.inf, True, "0.5"]
+# inverse_digamma read True as y = 1, and parsed "0.5", b"0.5" and [True, "1"] on
+# its array route; an infinite y lies outside its domain and keeps that refusal
+# (tests/test_saddle.py), so only the other values are crossed with it here
+BAD_Y = [v for v in BAD_FINITE if not (isinstance(v, float) and math.isinf(v))]
+BAD_Y += [np.True_, b"0.5", [True, "1"], *BAD_ARRAYS]
 
 # (entry point, name, minimum, the call with the bad value in its place); the
 # message names the entry point, but fn_montecarlo for the samples and seed that
@@ -227,6 +236,20 @@ def test_a_finite_real_has_one_refusal(name, call, bad):
     message = f"{name} must be a finite real, got {bad!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(bad)
+
+
+@pytest.mark.parametrize("bad", BAD_Y, ids=repr)
+def test_inverse_digamma_has_the_finite_real_refusal(bad):
+    message = f"y must be a finite real, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        inverse_digamma(bad)
+
+
+@pytest.mark.parametrize("grid", BAD_GRID_CONTAINERS, ids=repr)
+def test_a_grid_that_is_no_iterable_is_refused(grid):
+    message = f"tabulate requires an iterable grid, got {grid!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tabulate(grid)
 
 
 @pytest.mark.parametrize("caller, name, minimum, call, bad", _integer_cases())
