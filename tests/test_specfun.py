@@ -365,25 +365,29 @@ def _shift_count_cases():
 _SHIFT_CASES, _SHIFT_IDS = _shift_count_cases()
 
 
+_REAL_CASES = [
+    # every shift count from 0 to 10, interleaved and unsorted
+    _RNG.permutation(np.concatenate([_RNG.uniform(lo, lo + 1.0, 7)
+                                     for lo in [1e-9, *range(10)]])),
+    _RNG.uniform(10.0, 1e6, 50),
+    np.array([3.0, 3.5, 0.25, 1e-150, 12.0, 7.0, 1e200]),
+    np.linspace(0.01, 30.0, 64),
+    np.full(1, 0.5),
+    _RNG.uniform(1e-3, 15.0, (3, 4)),
+    np.empty(0),
+    np.array(2.5),
+    # wider than 16 columns a row: summed a row at a time
+    _RNG.uniform(1e-3, 15.0, 700),
+    *_SHIFT_CASES,
+]
+_REAL_IDS = ["k-0-to-10-unsorted", "no-shift", "mixed", "ascending", "one", "2-d", "empty",
+             "0-d", "wide", *_SHIFT_IDS]
+
+
 class TestSeriesArray:
     """The fused psi and psi' pass against the boolean-mask loop, bit for bit."""
 
-    @pytest.mark.parametrize("x", [
-        # every shift count from 0 to 10, interleaved and unsorted
-        _RNG.permutation(np.concatenate([_RNG.uniform(lo, lo + 1.0, 7)
-                                         for lo in [1e-9, *range(10)]])),
-        _RNG.uniform(10.0, 1e6, 50),
-        np.array([3.0, 3.5, 0.25, 1e-150, 12.0, 7.0, 1e200]),
-        np.linspace(0.01, 30.0, 64),
-        np.full(1, 0.5),
-        _RNG.uniform(1e-3, 15.0, (3, 4)),
-        np.empty(0),
-        np.array(2.5),
-        # wider than 16 columns a row: summed a row at a time
-        _RNG.uniform(1e-3, 15.0, 700),
-        *_SHIFT_CASES,
-    ], ids=["k-0-to-10-unsorted", "no-shift", "mixed", "ascending", "one", "2-d", "empty",
-            "0-d", "wide", *_SHIFT_IDS])
+    @pytest.mark.parametrize("x", _REAL_CASES, ids=_REAL_IDS)
     def test_bit_identical_to_the_mask_loop(self, x):
         before = x.tobytes()
         psi, psi1 = specfun._digamma_trigamma_array(x)
@@ -392,11 +396,67 @@ class TestSeriesArray:
         assert psi.tobytes() == ref_psi.tobytes()
         assert psi1.tobytes() == ref_psi1.tobytes()
 
+    @pytest.mark.parametrize("x", _REAL_CASES, ids=_REAL_IDS)
+    def test_digamma_and_trigamma_return_the_two_halves(self, x):
+        # the public array paths each keep one half of the pass, in x's shape
+        before = x.tobytes()
+        ref_psi, ref_psi1 = _series_array_reference(x)
+        for f, ref in ((digamma, ref_psi), (trigamma, ref_psi1)):
+            got = f(x)
+            assert x.tobytes() == before
+            if x.ndim == 0:
+                assert isinstance(got, float) and got.hex() == float(ref[0]).hex()
+            else:
+                assert got.shape == x.shape
+                assert got.tobytes() == ref.tobytes()
+
     def test_blocks_of_fewer_columns_give_the_same_bits(self, monkeypatch):
         # blocks of 300, 300 and 100 columns: two summed a row at a time, then
         # one by np.add.accumulate
         monkeypatch.setattr(specfun, "_BLOCK_COLUMNS", 300)
         self.test_bit_identical_to_the_mask_loop(_RNG.uniform(1e-3, 15.0, 700))
+
+
+_COMPLEX_CASES = [
+    1.3766 + 1j * np.linspace(0.0, 300.0, 101),
+    _RNG.uniform(1e-3, 15.0, 40) + 1j * _RNG.standard_normal(40),
+    _RNG.uniform(1e-3, 15.0, (2, 3)) + 1j * _RNG.uniform(-5.0, 5.0, (2, 3)),
+    np.empty(0, dtype=complex),
+    np.array(0.7 + 4j),
+    np.array([complex(9.5, -0.0), complex(9.25, -0.0)]),
+    np.array([complex(12.0, -0.0), complex(5.0, -0.0), complex(0.5, -0.0)]),
+    _RNG.uniform(1e-3, 15.0, 300) + 1j * _RNG.standard_normal(300),
+    *(np.array([specfun._SHIFT - k + 0.7 - 1j, specfun._SHIFT - k + 0.2 + 3j])
+      for k in range(11)),
+]
+_COMPLEX_IDS = ["vertical-line", "mixed-real-parts", "2-d-complex", "empty-complex",
+                "0-d-complex", "minus-zero-imag", "minus-zero-imag-no-shift", "wide-complex",
+                *(f"size-2-complex-k{k}" for k in range(11))]
+
+
+class TestLnGammaComplexArrays:
+    """ln_gamma_complex of an array: each element alone, and the recurrence."""
+
+    @pytest.mark.parametrize("z", _COMPLEX_CASES, ids=_COMPLEX_IDS)
+    def test_each_element_equals_its_lone_value(self, z):
+        before = z.tobytes()
+        got = ln_gamma_complex(z)
+        assert z.tobytes() == before
+        if z.ndim == 0:
+            assert isinstance(got, complex)
+            got = np.array(got)
+        assert got.shape == z.shape and np.isfinite(got).all()
+        alone = np.array([ln_gamma_complex(v) for v in z.reshape(-1).tolist()], dtype=complex)
+        assert got.reshape(-1).tobytes() == alone.tobytes()
+        # ln Gamma(z + 1) = ln Gamma(z) + Log z on Re z > 0, with no 2 pi i jump
+        err = np.abs(ln_gamma_complex(z + 1.0) - np.asarray(got) - np.log(z))
+        assert np.all(err <= 4e-15 * np.maximum(1.0, np.abs(got)))
+
+    def test_blocks_of_fewer_columns_give_the_same_bits(self, monkeypatch):
+        z = _RNG.uniform(1e-3, 15.0, 700) + 1j * _RNG.standard_normal(700)
+        full = ln_gamma_complex(z)
+        monkeypatch.setattr(specfun, "_BLOCK_COLUMNS", 300)
+        assert ln_gamma_complex(z).tobytes() == full.tobytes()
 
 
 @pytest.mark.parametrize("z", [
